@@ -69,14 +69,14 @@ def main(argv=None) -> int:
           f"{[g.tokens[v] for v in sel.seeds]}  objective={sel.objective}")
 
     part = partition_by_distance(g, seeds, max_hop=args.max_hop)
+    gd, ed = paired_distances_for_distortion(part, emb)
     print(f"\nhop profile (embedding distance to the seed set, {args.layers}-layer propagation)")
     print(f"{'hop':>4} {'count':>6} {'mean dist':>10} {'std':>8}")
-    for row in hop_embedding_profile(g, seeds, emb, max_hop=args.max_hop):
+    for row in hop_embedding_profile(gd, ed):
         print(f"{row.hop:>4} {row.count:>6} {row.mean_distance:>10.4f} {row.std:>8.4f}")
     if part.overflow or part.unreachable:
         print(f"  overflow={len(part.overflow)} unreachable={len(part.unreachable)}")
 
-    gd, ed = paired_distances_for_distortion(g, seeds, emb, max_hop=args.max_hop)
     est = estimate_distortion(gd, ed)
     print(f"\ndistortion over {est.pair_count} vertex/seed-set pairs: "
           f"r={est.r:.4f} alpha={est.alpha:.4f}")

@@ -131,13 +131,11 @@ def cmd_distortion(args) -> int:
     seeds = _load_seeds(args.seeds, g)
     try:
         emb = parse_vector_table(_read(args.embeddings), "embeddings", g)
-        profile = hop_embedding_profile(g, seeds, emb, args.max_hop, args.point_to_set)
-        gd, ed = paired_distances_for_distortion(g, seeds, emb, args.max_hop,
-                                                 args.point_to_set)
+        part = partition_by_distance(g, seeds, args.max_hop)
+        gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
     except CoverageError as exc:
         raise _tokenize_coverage(exc, g) from None
     est = estimate_distortion(gd, ed, exclude_zero_ratios=args.exclude_degenerate_pairs)
-    part = partition_by_distance(g, seeds, args.max_hop)
     params = {"subcommand": "distortion", "graph": args.graph, "seeds": args.seeds,
               "embeddings": args.embeddings, "max_hop": args.max_hop,
               "point_to_set": args.point_to_set,
@@ -150,7 +148,8 @@ def cmd_distortion(args) -> int:
         "overflow_count": len(part.overflow),
         "unreachable_count": len(part.unreachable),
         "profile": [{"hop": row.hop, "mean_distance": row.mean_distance,
-                     "std": row.std, "count": row.count} for row in profile],
+                     "std": row.std, "count": row.count}
+                    for row in hop_embedding_profile(gd, ed)],
     }
     _report(params, "distortion", payload, args.format, args.out)
     return EXIT_OK
@@ -213,10 +212,8 @@ def cmd_evaluate(args) -> int:
     part = partition_by_distance(g, seeds, args.max_hop)
     try:
         report = subgroup_accuracy(part, preds)
-        evaluated = set()
-        for _, members in part.groups:
-            evaluated |= members
-        if not evaluated:
+        evaluated = part.grouped
+        if len(evaluated) == 0:
             raise ArgumentError("no test vertices within max_hop of the seed set")
         overall = 1.0 - empirical_risk(preds, evaluated, "zero_one")
     except CoverageError as exc:
@@ -232,8 +229,7 @@ def cmd_evaluate(args) -> int:
     if args.embeddings is not None:
         try:
             emb = parse_vector_table(_read(args.embeddings), "embeddings", g)
-            gd, ed = paired_distances_for_distortion(g, seeds, emb, args.max_hop,
-                                                     args.point_to_set)
+            gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
         except CoverageError as exc:
             raise _tokenize_coverage(exc, g) from None
         est = estimate_distortion(gd, ed,

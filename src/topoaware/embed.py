@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ArgumentError, CoverageError
 from .graph import Graph, build_graph, degrees
-from .metrics import EmbeddingTable, full_embedding_table
+from .metrics import EmbeddingTable, _point_to_set, full_embedding_table
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,7 @@ def lipschitz_labels(emb: EmbeddingTable, anchors, noise: float = 0.0,
         raise CoverageError("vertices without embeddings", missing=tuple(missing))
     if any(a < 0 or a >= n for a in anchor_ids):
         raise ArgumentError("anchor id out of range")
-    anchor_vecs = emb.vectors[anchor_ids]
-    targets = np.empty(n)
-    for v in range(n):
-        targets[v] = np.linalg.norm(anchor_vecs - emb.vectors[v], axis=1).min()
+    targets = _point_to_set(emb, np.arange(n), np.asarray(anchor_ids), "min")
     if noise > 0.0:
         if rng_seed is None:
             raise ArgumentError("noise > 0 requires rng_seed")

@@ -79,10 +79,8 @@ def subgroup_accuracy(partition: SubgroupPartition, preds: PredictionTable) -> S
     set. Predictions must cover the seeds and every group within max_hop."""
     if preds.mode != "classification":
         raise ArgumentError("subgroup accuracy requires classification predictions")
-    needed = set(partition.seed_set)
-    for _, members in partition.groups:
-        needed |= members
-    missing = sorted(v for v in needed if v not in preds.coverage)
+    needed = np.flatnonzero(partition.dist <= partition.max_hop).tolist()
+    missing = [v for v in needed if v not in preds.coverage]
     if missing:
         raise CoverageError("vertices without predictions", missing=tuple(missing))
     train_acc = 1.0 - empirical_risk(preds, partition.seed_set, "zero_one")

@@ -3,6 +3,7 @@ distortion estimation between the graph metric and an embedding metric."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -12,24 +13,49 @@ from .graph import UNREACHABLE, Graph, multi_source_bfs
 DEFAULT_MAX_HOP = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupPartition:
-    """Hop-distance partition of V relative to a seed set.
+    """Hop-distance partition of V relative to a seed set, held as the
+    read-only multi-source hop array `dist` (seeds are exactly dist == 0).
 
     groups[k-1] = (k, vertices at hop distance exactly k), for k = 1..max_hop.
     overflow holds finite distances beyond max_hop; unreachable the rest.
     """
 
-    seed_set: frozenset
-    groups: tuple
-    overflow: frozenset
-    unreachable: frozenset
+    dist: np.ndarray
     max_hop: int
+
+    @cached_property
+    def seed_set(self) -> frozenset:
+        return _ids(self.dist == 0)
+
+    @cached_property
+    def groups(self) -> tuple:
+        return tuple((k, _ids(self.dist == k)) for k in range(1, self.max_hop + 1))
+
+    @cached_property
+    def grouped(self) -> np.ndarray:
+        """Ids at hop 1..max_hop (the union of the groups), ascending."""
+        ids = np.flatnonzero((self.dist >= 1) & (self.dist <= self.max_hop))
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
+    def overflow(self) -> frozenset:
+        return _ids(np.isfinite(self.dist) & (self.dist > self.max_hop))
+
+    @cached_property
+    def unreachable(self) -> frozenset:
+        return _ids(~np.isfinite(self.dist))
 
     def group(self, k: int) -> frozenset:
         if not 1 <= k <= self.max_hop:
             raise ArgumentError(f"hop {k} outside 1..{self.max_hop}")
         return self.groups[k - 1][1]
+
+
+def _ids(mask: np.ndarray) -> frozenset:
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 @dataclass(frozen=True)
@@ -102,18 +128,9 @@ def partition_by_distance(g: Graph, V0, max_hop: int = DEFAULT_MAX_HOP) -> Subgr
     bucket (finite distance > max_hop), and the unreachable set."""
     if max_hop < 1:
         raise ArgumentError(f"max_hop must be positive, got {max_hop}")
-    seeds = frozenset(int(v) for v in V0)
-    dist = multi_source_bfs(g, seeds)
-    groups = []
-    for k in range(1, max_hop + 1):
-        members = np.flatnonzero(dist == k)
-        groups.append((k, frozenset(int(v) for v in members)))
-    finite = np.isfinite(dist)
-    overflow = frozenset(int(v) for v in np.flatnonzero(finite & (dist > max_hop)))
-    unreachable = frozenset(int(v) for v in np.flatnonzero(~finite))
-    return SubgroupPartition(seed_set=seeds, groups=tuple(groups),
-                             overflow=overflow, unreachable=unreachable,
-                             max_hop=max_hop)
+    dist = multi_source_bfs(g, V0)
+    dist.setflags(write=False)
+    return SubgroupPartition(dist=dist, max_hop=max_hop)
 
 
 def estimate_distortion(graph_dists, embed_dists,
@@ -156,22 +173,26 @@ def estimate_distortion(graph_dists, embed_dists,
                               max_ratio=max_ratio, excluded_pairs=excluded)
 
 
-def _require_coverage(g: Graph, emb: EmbeddingTable, needed) -> None:
-    missing = sorted(v for v in needed if v not in emb.coverage)
+def _require_coverage(emb: EmbeddingTable, needed: np.ndarray) -> None:
+    missing = [v for v in needed.tolist() if v not in emb.coverage]
     if missing:
         raise CoverageError("vertices without embeddings", missing=tuple(missing))
 
 
+_POINT_TO_SET_ELEMENTS = 1 << 18  # float64 elements per broadcast difference block
+
+
 def _point_to_set(emb: EmbeddingTable, vs: np.ndarray, seed_ids: np.ndarray,
                   mode: str) -> np.ndarray:
-    """Euclidean point-to-set distances from each v to the seed vectors."""
-    if mode not in ("min", "mean"):
-        raise ArgumentError(f"point_to_set must be 'min' or 'mean', got {mode!r}")
+    """Euclidean point-to-set distances ("min" or "mean") from each v to the
+    seed vectors, over vertex chunks of bounded size."""
     seed_vecs = emb.vectors[seed_ids]
+    step = max(1, _POINT_TO_SET_ELEMENTS // seed_vecs.size)
     out = np.empty(len(vs))
-    for i, v in enumerate(vs):
-        d = np.linalg.norm(seed_vecs - emb.vectors[v], axis=1)
-        out[i] = d.min() if mode == "min" else d.mean()
+    for start in range(0, len(vs), step):
+        diff = seed_vecs - emb.vectors[vs[start:start + step], None, :]
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        out[start:start + step] = d.min(axis=1) if mode == "min" else d.mean(axis=1)
     return out
 
 
@@ -183,53 +204,32 @@ class ProfileRow:
     count: int
 
 
-def hop_embedding_profile(g: Graph, V0, emb: EmbeddingTable,
-                          max_hop: int = DEFAULT_MAX_HOP,
-                          point_to_set: str = "min") -> list[ProfileRow]:
-    """Per-hop mean and population std of point-to-set embedding distance.
-
-    Hops with no vertices are omitted. Every seed and every vertex within
-    max_hop must be embedded.
-    """
-    part = partition_by_distance(g, V0, max_hop)
-    seed_ids = np.asarray(sorted(part.seed_set), dtype=np.int64)
-    needed = set(part.seed_set)
-    for _, members in part.groups:
-        needed |= members
-    _require_coverage(g, emb, needed)
-    rows = []
-    for k, members in part.groups:
-        if not members:
-            continue
-        vs = np.asarray(sorted(members), dtype=np.int64)
-        vals = _point_to_set(emb, vs, seed_ids, point_to_set)
-        rows.append(ProfileRow(hop=k, mean_distance=float(vals.mean()),
-                               std=float(vals.std()), count=len(vs)))
-    return rows
-
-
-def paired_distances_for_distortion(g: Graph, V0, emb: EmbeddingTable,
-                                    max_hop: int = DEFAULT_MAX_HOP,
+def paired_distances_for_distortion(part: SubgroupPartition, emb: EmbeddingTable,
                                     point_to_set: str = "min"):
     """One (graph distance, embedding distance) pair per vertex with
-    1 <= D_s(v, V0) <= max_hop, in vertex-id order."""
-    part = partition_by_distance(g, V0, max_hop)
-    seed_ids = np.asarray(sorted(part.seed_set), dtype=np.int64)
-    needed = set(part.seed_set)
-    for _, members in part.groups:
-        needed |= members
-    _require_coverage(g, emb, needed)
-    vs = []
-    gd = []
-    for k, members in part.groups:
-        for v in sorted(members):
-            vs.append(v)
-            gd.append(float(k))
-    order = np.argsort(np.asarray(vs, dtype=np.int64), kind="stable")
-    vs = np.asarray(vs, dtype=np.int64)[order]
-    gd = np.asarray(gd)[order]
-    ed = _point_to_set(emb, vs, seed_ids, point_to_set) if len(vs) else np.empty(0)
-    return gd, ed
+    1 <= D_s(v, V0) <= max_hop, in vertex-id order. Every seed and every
+    vertex within max_hop must be embedded."""
+    if point_to_set not in ("min", "mean"):
+        raise ArgumentError(f"point_to_set must be 'min' or 'mean', got {point_to_set!r}")
+    dist = part.dist
+    _require_coverage(emb, np.flatnonzero(dist <= part.max_hop))
+    vs = part.grouped
+    return dist[vs], _point_to_set(emb, vs, np.flatnonzero(dist == 0), point_to_set)
+
+
+def hop_embedding_profile(gd, ed) -> list[ProfileRow]:
+    """Per-hop mean and population std of the embedding distances of
+    `paired_distances_for_distortion`, one row per hop present."""
+    gd = np.asarray(gd, dtype=np.float64)
+    ed = np.asarray(ed, dtype=np.float64)
+    if gd.shape != ed.shape:
+        raise ArgumentError("graph and embedding distances must have the same shape")
+    rows = []
+    for k in np.unique(gd):
+        vals = ed[gd == k]
+        rows.append(ProfileRow(hop=int(k), mean_distance=float(vals.mean()),
+                               std=float(vals.std()), count=len(vals)))
+    return rows
 
 
 def sampled_pair_distances(g: Graph, emb: EmbeddingTable, rng_seed: int,

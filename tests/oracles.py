@@ -200,6 +200,17 @@ def profile_rows(dist_to_seeds, vectors, seed_ids, max_hop, point_to_set):
     return rows
 
 
+def point_to_set_loop(emb, vs, seed_ids, mode):
+    """Per-vertex loop of Euclidean point-to-set distances ("min" or
+    "mean") from each v to the seed vectors; `emb` has a `vectors` array."""
+    seed_vecs = emb.vectors[seed_ids]
+    out = np.empty(len(vs))
+    for i, v in enumerate(vs):
+        d = np.linalg.norm(seed_vecs - emb.vectors[v], axis=1)
+        out[i] = d.min() if mode == "min" else d.mean()
+    return out
+
+
 # ---------------------------------------------------------------------------
 # statistics
 

@@ -17,7 +17,8 @@ from topoaware import (ArgumentError, EmbeddingTable, Report, bfs_distances,
                        hop_embedding_profile, jsonable, kcenter_greedy,
                        kcenter_objective, lipschitz_labels,
                        make_prediction_table, one_hot_features, ordering_check,
-                       pagerank, parse_edge_list, parse_label_table,
+                       paired_distances_for_distortion, pagerank,
+                       parse_edge_list, parse_label_table,
                        parse_report, parse_token_list, parse_vector_table,
                        partition_by_distance, propagate, synthetic_sbm,
                        write_edge_list, write_label_table, write_report,
@@ -159,7 +160,8 @@ def test_criterion_04_hop_profile_trend(verdict):
         g = ds.graph
         emb = propagate(g, one_hot_features(g), layers=2)
         sel = kcenter_greedy(g, 5)
-        rows = hop_embedding_profile(g, set(sel.seeds), emb, max_hop=5)
+        part = partition_by_distance(g, set(sel.seeds), max_hop=5)
+        rows = hop_embedding_profile(*paired_distances_for_distortion(part, emb))
         if len(rows) < 2:
             continue
         rho = oracles.spearman_rank([r.hop for r in rows],

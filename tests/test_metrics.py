@@ -9,11 +9,12 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
-                       EmbeddingTable, bfs_distances, estimate_distortion,
-                       full_embedding_table, group_distance,
+                       EmbeddingTable, bfs_distances, build_graph,
+                       estimate_distortion, full_embedding_table, group_distance,
                        group_distance_point, hop_embedding_profile, is_unreachable,
                        paired_distances_for_distortion, partition_by_distance,
                        sampled_pair_distances)
+from topoaware.metrics import _POINT_TO_SET_ELEMENTS, _point_to_set
 
 
 def path_graph(n):
@@ -22,6 +23,11 @@ def path_graph(n):
 
 def line_embedding(g):
     return full_embedding_table(np.arange(g.n, dtype=float).reshape(-1, 1))
+
+
+def profile(g, seeds, emb, max_hop, point_to_set="min"):
+    part = partition_by_distance(g, seeds, max_hop=max_hop)
+    return hop_embedding_profile(*paired_distances_for_distortion(part, emb, point_to_set))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def test_embedding_table_uncovered_lookup():
 
 def test_profile_isometric_line():
     g = path_graph(7)
-    rows = hop_embedding_profile(g, {0}, line_embedding(g), max_hop=4)
+    rows = profile(g, {0}, line_embedding(g), max_hop=4)
     assert [r.hop for r in rows] == [1, 2, 3, 4]
     for r in rows:
         assert r.mean_distance == pytest.approx(float(r.hop))
@@ -270,7 +276,7 @@ def test_profile_isometric_line():
 
 def test_profile_omits_empty_hops():
     g = path_graph(3)
-    rows = hop_embedding_profile(g, {0}, line_embedding(g), max_hop=5)
+    rows = profile(g, {0}, line_embedding(g), max_hop=5)
     assert [r.hop for r in rows] == [1, 2]
 
 
@@ -285,7 +291,7 @@ def test_profile_matches_nested_loop_oracle(seed, mode):
     fw = oracles.floyd_warshall(n, edges)
     dist = [min(fw[s][v] for s in seeds) for v in range(n)]
     want = oracles.profile_rows(dist, emb.vectors, seeds, max_hop, mode)
-    rows = hop_embedding_profile(g, seeds, emb, max_hop=max_hop, point_to_set=mode)
+    rows = profile(g, seeds, emb, max_hop=max_hop, point_to_set=mode)
     assert [(r.hop, r.count) for r in rows] == [(h, c) for h, _, _, c in want]
     for r, (_, m, s, _) in zip(rows, want):
         assert r.mean_distance == pytest.approx(m, rel=1e-10)
@@ -298,7 +304,7 @@ def test_profile_requires_coverage():
     vec[:2, 0] = [0.0, 1.0]
     emb = EmbeddingTable(dim=1, vectors=vec, coverage=frozenset({0, 1}))
     with pytest.raises(CoverageError):
-        hop_embedding_profile(g, {0}, emb, max_hop=3)
+        paired_distances_for_distortion(partition_by_distance(g, {0}, max_hop=3), emb)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +313,8 @@ def test_profile_requires_coverage():
 
 def test_paired_distances_path():
     g = path_graph(3)
-    gd, ed = paired_distances_for_distortion(g, {0}, line_embedding(g), max_hop=5)
+    gd, ed = paired_distances_for_distortion(partition_by_distance(g, {0}, max_hop=5),
+                                             line_embedding(g))
     assert list(gd) == [1.0, 2.0]
     assert list(ed) == [1.0, 2.0]
 
@@ -323,9 +330,33 @@ def test_paired_distances_one_pair_per_eligible_vertex(seed):
     fw = oracles.floyd_warshall(n, edges)
     dist = [min(fw[s][v] for s in seeds) for v in range(n)]
     eligible = [v for v in range(n) if 1 <= dist[v] <= max_hop]
-    gd, ed = paired_distances_for_distortion(g, seeds, emb, max_hop=max_hop)
+    gd, ed = paired_distances_for_distortion(partition_by_distance(g, seeds, max_hop=max_hop),
+                                             emb)
     assert len(gd) == len(ed) == len(eligible)
     assert list(gd) == [float(dist[v]) for v in eligible]
+
+
+def test_paired_distances_check_mode_without_pairs():
+    # a-b plus an isolated c: with both a and b seeded nothing is within max_hop
+    g = build_graph([("a", "b"), ("c", "c")])
+    emb = full_embedding_table(np.arange(3, dtype=float).reshape(-1, 1))
+    part = partition_by_distance(g, {0, 1})
+    assert len(paired_distances_for_distortion(part, emb)[0]) == 0
+    with pytest.raises(ArgumentError):
+        paired_distances_for_distortion(part, emb, point_to_set="median")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 150), st.integers(1, 8),
+       st.sampled_from(["min", "mean"]))
+def test_point_to_set_matches_per_vertex_loop(seed, dim, rows_per_chunk, mode):
+    rng = np.random.default_rng(seed)
+    seed_count = -(-_POINT_TO_SET_ELEMENTS // (dim * rows_per_chunk))
+    n = seed_count + 16
+    emb = full_embedding_table(rng.normal(size=(n, dim)))
+    seed_ids = np.sort(rng.choice(n, size=seed_count, replace=False))
+    vs = rng.integers(0, n, size=int(rng.integers(2, 5)) * rows_per_chunk + 1)
+    got = _point_to_set(emb, vs, seed_ids, mode)
+    assert np.array_equal(got, oracles.point_to_set_loop(emb, vs, seed_ids, mode))
 
 
 def test_sampled_pairs_cap_and_determinism():
