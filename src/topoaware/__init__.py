@@ -5,9 +5,9 @@ from .errors import (ArgumentError, BoundsError, CoverageError,
                      DegenerateEmbeddingError, EmptyGraphError,
                      InternalInvariantError, ParseError, SizeGuardError,
                      TopoawareError)
-from .graph import (UNREACHABLE, Graph, PageRankResult, bfs_distances,
-                    build_graph, closeness_centrality, connected_components,
-                    degrees, is_unreachable, multi_source_bfs, pagerank)
+from .graph import (UNREACHABLE, Graph, PageRankResult, build_graph,
+                    closeness_centrality, connected_components, degrees,
+                    is_unreachable, multi_source_bfs, pagerank)
 from .metrics import (DEFAULT_MAX_HOP, DistortionEstimate, EmbeddingTable,
                       ProfileRow, SubgroupPartition, estimate_distortion,
                       full_embedding_table, group_distance,

@@ -68,10 +68,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _report(params: dict, kind: str, payload: dict, fmt: str, out: str | None) -> None:
+def _report(args, kind: str, payload: dict, **resolved) -> None:
+    """Write the report; its parameters are the parsed arguments, overridden
+    by the values the command resolved from them."""
+    params = {k: v for k, v in vars(args).items() if k != "func"} | resolved
     report = Report(parameters=jsonable(params), payload_kind=kind,
                     payload=jsonable(payload))
-    _emit(write_report(report, fmt), out)
+    _emit(write_report(report, args.format), args.out)
 
 
 def _resolve_k(args, n: int) -> tuple[int, bool]:
@@ -114,15 +117,13 @@ def cmd_partition(args) -> int:
     g = _load_graph(args.graph)
     seeds = _load_seeds(args.seeds, g)
     part = partition_by_distance(g, seeds, args.max_hop)
-    params = {"subcommand": "partition", "graph": args.graph, "seeds": args.seeds,
-              "max_hop": args.max_hop, "out": args.out, "format": args.format}
     payload = {
         "seed_count": len(part.seed_set),
         "hop_counts": [{"hop": k, "count": len(members)} for k, members in part.groups],
         "overflow_count": len(part.overflow),
         "unreachable_count": len(part.unreachable),
     }
-    _report(params, "partition", payload, args.format, args.out)
+    _report(args, "partition", payload)
     return EXIT_OK
 
 
@@ -136,11 +137,6 @@ def cmd_distortion(args) -> int:
     except CoverageError as exc:
         raise _tokenize_coverage(exc, g) from None
     est = estimate_distortion(gd, ed, exclude_zero_ratios=args.exclude_degenerate_pairs)
-    params = {"subcommand": "distortion", "graph": args.graph, "seeds": args.seeds,
-              "embeddings": args.embeddings, "max_hop": args.max_hop,
-              "point_to_set": args.point_to_set,
-              "exclude_degenerate_pairs": args.exclude_degenerate_pairs,
-              "out": args.out, "format": args.format}
     payload = {
         "r": est.r, "alpha": est.alpha, "min_ratio": est.min_ratio,
         "max_ratio": est.max_ratio, "pair_count": est.pair_count,
@@ -151,7 +147,7 @@ def cmd_distortion(args) -> int:
                      "std": row.std, "count": row.count}
                     for row in hop_embedding_profile(gd, ed)],
     }
-    _report(params, "distortion", payload, args.format, args.out)
+    _report(args, "distortion", payload)
     return EXIT_OK
 
 
@@ -161,27 +157,20 @@ def cmd_sample(args) -> int:
     start_policy_str = None
     if args.method == "kcenter":
         start, start_policy_str = _parse_start(args.start, g)
-        if start == "random" and args.seed is None:
+        if start == "random" and args.rng_seed is None:
             raise ArgumentError("--start random requires --seed")
-        sel = kcenter_greedy(g, k, start=start, rng_seed=args.seed)
+        sel = kcenter_greedy(g, k, start=start, rng_seed=args.rng_seed)
     else:
         if args.start is not None:
             raise ArgumentError("--start applies only to --method kcenter")
-        if args.method in RANDOMIZED_METHODS and args.seed is None:
+        if args.method in RANDOMIZED_METHODS and args.rng_seed is None:
             raise ArgumentError(f"--method {args.method} requires --seed")
         if args.method == "coverage":
-            sel = coverage_sampling(g, k, rng_seed=args.seed)
+            sel = coverage_sampling(g, k, rng_seed=args.rng_seed)
         else:
-            sel = baseline_select(g, k, method=args.method, rng_seed=args.seed)
+            sel = baseline_select(g, k, method=args.method, rng_seed=args.rng_seed)
     if from_fraction:
         sys.stderr.write(f"resolved k = {k} from fraction {args.fraction}\n")
-    params = {"subcommand": "sample", "graph": args.graph, "method": args.method,
-              "k": k, "fraction": args.fraction,
-              "k_resolved_from_fraction": from_fraction,
-              "start": start_policy_str, "rng_seed": args.seed,
-              "seeds_out": args.seeds_out, "out": args.out, "format": args.format}
-    if args.method == "centrality":
-        params["centrality_variant"] = "closeness"
     seed_tokens = [g.tokens[v] for v in sel.seeds]
     payload = {
         "seeds": seed_tokens,
@@ -190,7 +179,10 @@ def cmd_sample(args) -> int:
         "rng_seed": sel.rng_seed, "full_cover": sel.full_cover,
         "start_policy": sel.start_policy,
     }
-    _report(params, "seed_selection", payload, args.format, args.out)
+    resolved = {"k": k, "k_resolved_from_fraction": from_fraction, "start": start_policy_str}
+    if args.method == "centrality":
+        resolved["centrality_variant"] = "closeness"
+    _report(args, "seed_selection", payload, **resolved)
     if args.seeds_out is not None:
         _emit(write_token_list(seed_tokens), args.seeds_out)
     return EXIT_OK
@@ -218,7 +210,7 @@ def cmd_evaluate(args) -> int:
         overall = 1.0 - empirical_risk(preds, evaluated, "zero_one")
     except CoverageError as exc:
         raise _tokenize_coverage(exc, g) from None
-    agg = aggregate_distance(g, seeds, args.aggregator)
+    agg = aggregate_distance(part.dist, args.aggregator)
     ordering = None
     if len(report.per_hop) >= 2:
         risks = [(k, 1.0 - acc) for k, acc, _ in report.per_hop]
@@ -242,13 +234,6 @@ def cmd_evaluate(args) -> int:
                            "group_distance": br.group_distance,
                            "bound_driver": br.bound_driver,
                            "bound_value": br.bound_value(args.bound_constant)})
-    params = {"subcommand": "evaluate", "graph": args.graph, "seeds": args.seeds,
-              "labels": args.labels, "predictions": args.predictions,
-              "embeddings": args.embeddings, "max_hop": args.max_hop,
-              "aggregator": args.aggregator, "point_to_set": args.point_to_set,
-              "exclude_degenerate_pairs": args.exclude_degenerate_pairs,
-              "bound_constant": args.bound_constant,
-              "out": args.out, "format": args.format}
     payload = {
         "per_hop": [{"hop": k, "accuracy": acc, "count": count}
                     for k, acc, count in report.per_hop],
@@ -264,7 +249,7 @@ def cmd_evaluate(args) -> int:
         "ordering": ordering,
         "bounds": bounds,
     }
-    _report(params, "evaluation", payload, args.format, args.out)
+    _report(args, "evaluation", payload)
     return EXIT_OK
 
 
@@ -293,12 +278,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(args.seed, graphs=args.graphs, n_max=args.n_max,
+    results = run_verify(args.rng_seed, graphs=args.graphs, n_max=args.n_max,
                          inject_fault=args.inject_fault)
     all_passed = all(r.passed for r in results)
-    params = {"subcommand": "verify", "graphs": args.graphs, "n_max": args.n_max,
-              "rng_seed": args.seed, "inject_fault": args.inject_fault,
-              "out": args.out, "format": args.format}
     payload = {
         "all_passed": all_passed,
         "check_rows": [{"check": r.name, "status": "pass" if r.passed else "FAIL"}
@@ -306,7 +288,7 @@ def cmd_verify(args) -> int:
         "checks": [{"name": r.name, "passed": r.passed, "cases": r.cases,
                     "counterexample": r.detail or None} for r in results],
     }
-    _report(params, "verify", payload, args.format, args.out)
+    _report(args, "verify", payload)
     return EXIT_OK if all_passed else EXIT_INTERNAL
 
 
@@ -353,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--start", nargs="+", default=None,
                    metavar=("highest-degree|random|vertex", "TOKEN"))
-    p.add_argument("--seed", type=int, default=None, help="rng seed")
+    p.add_argument("--seed", type=int, default=None, dest="rng_seed", help="rng seed")
     p.add_argument("--seeds-out", default=None, dest="seeds_out",
                    help="also write the seed tokens, one per line")
     common_out(p)
@@ -397,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="built-in dual-route self-checks")
     p.add_argument("--graphs", type=int, default=50)
     p.add_argument("--n-max", type=int, default=30, dest="n_max")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, dest="rng_seed")
     p.add_argument("--inject-fault", choices=("distance", "greedy", "distortion"),
                    default=None, dest="inject_fault")
     common_out(p)

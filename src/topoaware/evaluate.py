@@ -9,7 +9,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import ArgumentError, CoverageError
-from .graph import UNREACHABLE, Graph, multi_source_bfs
+from .graph import UNREACHABLE
 from .metrics import DistortionEstimate, SubgroupPartition
 
 LOSSES = ("zero_one", "absolute", "squared")
@@ -189,20 +189,15 @@ class AggregateDistance:
     aggregator: str
 
 
-def aggregate_distance(g: Graph, V0, aggregator: str) -> AggregateDistance:
-    """max or mean of finite distances from the complement to V0, with the
+def aggregate_distance(dist, aggregator: str) -> AggregateDistance:
+    """max or mean of finite distances from the complement of V0 to V0, read
+    from V0's `multi_source_bfs` array (V0 is exactly dist == 0), with the
     count of excluded unreachable vertices."""
     if aggregator not in ("max", "mean"):
         raise ArgumentError(f"aggregator must be 'max' or 'mean', got {aggregator!r}")
-    seeds = {int(v) for v in V0}
-    if not seeds:
-        raise ArgumentError("seed set is empty")
-    if len(seeds) >= g.n:
+    vals = dist[dist > 0]
+    if len(vals) == 0:
         raise ArgumentError("seed set covers every vertex; nothing to aggregate")
-    dist = multi_source_bfs(g, seeds)
-    mask = np.ones(g.n, dtype=bool)
-    mask[list(seeds)] = False
-    vals = dist[mask]
     finite = vals[np.isfinite(vals)]
     excluded = int(len(vals) - len(finite))
     if len(finite) == 0:

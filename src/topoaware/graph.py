@@ -58,10 +58,10 @@ class Graph:
 
     def edge_token_pairs(self):
         """Edges as (token, token) with u < v in dense-id order."""
-        for u in range(self.n):
-            for v in self.neighbors_of(u):
-                if u < v:
-                    yield self.tokens[u], self.tokens[int(v)]
+        us = np.repeat(np.arange(self.n), np.diff(self.offsets))
+        upper = us < self.neighbors
+        for u, v in zip(us[upper].tolist(), self.neighbors[upper].tolist()):
+            yield self.tokens[u], self.tokens[v]
 
     def __eq__(self, other) -> bool:
         """Token-level equality: same token set, same token-pair edge set."""
@@ -127,13 +127,6 @@ def build_graph(edge_tokens) -> Graph:
                  tokens=tuple(tokens), token_index=index)
 
 
-def _check_vertex(g: Graph, v, name: str = "vertex") -> int:
-    v = int(v)
-    if not 0 <= v < g.n:
-        raise BoundsError(f"{name} {v} out of range 0..{g.n - 1}")
-    return v
-
-
 def _check_sources(g: Graph, sources) -> np.ndarray:
     src = sorted({int(s) for s in sources})
     if not src:
@@ -143,18 +136,18 @@ def _check_sources(g: Graph, sources) -> np.ndarray:
     return np.asarray(src, dtype=np.int64)
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from one source; UNREACHABLE across components."""
-    source = _check_vertex(g, source, "source")
-    return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
-                            indices=[source], min_only=True)
-
-
 def multi_source_bfs(g: Graph, sources) -> np.ndarray:
-    """result[v] = min over s in sources of bfs_distances(g, s)[v]."""
+    """result[v] = min hop distance from v to any source; UNREACHABLE across
+    components. The sources are exactly the vertices at distance 0."""
     src = _check_sources(g, sources)
     return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
                             indices=src, min_only=True)
+
+
+def _hops(x) -> float:
+    """A hop distance as an int, or UNREACHABLE."""
+    x = float(x)
+    return x if x == UNREACHABLE else int(x)
 
 
 def degrees(g: Graph) -> np.ndarray:
@@ -222,11 +215,5 @@ def closeness_centrality(g: Graph) -> np.ndarray:
 def connected_components(g: Graph) -> np.ndarray:
     """Component labels 0..c-1, relabeled to first-seen vertex order."""
     _, raw = csgraph.connected_components(g.csr, directed=False)
-    remap: dict[int, int] = {}
-    out = np.empty(g.n, dtype=np.int64)
-    for v, lab in enumerate(raw):
-        lab = int(lab)
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out[v] = remap[lab]
-    return out
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]

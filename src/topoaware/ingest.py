@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
-from .graph import Graph
+from .graph import Graph, degrees
 from .metrics import EmbeddingTable
 from .embed import FeatureMatrix
 
@@ -55,15 +55,8 @@ def parse_edge_list(text) -> list:
 def write_edge_list(g: Graph) -> str:
     """Edges in dense-id order; isolated vertices appear as trailing
     self-loop lines so a round trip registers their tokens."""
-    out = []
-    seen = np.zeros(g.n, dtype=bool)
-    for u in range(g.n):
-        for v in g.neighbors_of(u):
-            seen[u] = seen[int(v)] = True
-            if u < v:
-                out.append(f"{g.tokens[u]} {g.tokens[int(v)]}")
-    for u in np.flatnonzero(~seen):
-        out.append(f"{g.tokens[int(u)]} {g.tokens[int(u)]}")
+    out = [f"{a} {b}" for a, b in g.edge_token_pairs()]
+    out += [f"{g.tokens[u]} {g.tokens[u]}" for u in np.flatnonzero(degrees(g) == 0).tolist()]
     return "\n".join(out) + ("\n" if out else "")
 
 

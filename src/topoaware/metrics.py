@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, BoundsError, CoverageError, DegenerateEmbeddingError
-from .graph import UNREACHABLE, Graph, multi_source_bfs
+from .graph import Graph, _hops, multi_source_bfs
 
 DEFAULT_MAX_HOP = 5
 
@@ -105,10 +105,7 @@ def full_embedding_table(vectors: np.ndarray) -> EmbeddingTable:
 
 def group_distance_point(g: Graph, v: int, S) -> float:
     """D_s(v, S) = min hop distance from v to any member of S."""
-    if not 0 <= int(v) < g.n:
-        raise BoundsError(f"vertex {v} out of range 0..{g.n - 1}")
-    d = multi_source_bfs(g, S)[int(v)]
-    return float(d) if d == UNREACHABLE else int(d)
+    return group_distance(g, [v], S)
 
 
 def group_distance(g: Graph, S1, S2) -> float:
@@ -118,9 +115,7 @@ def group_distance(g: Graph, S1, S2) -> float:
         raise ArgumentError("first vertex set is empty")
     if s1[0] < 0 or s1[-1] >= g.n:
         raise BoundsError(f"vertex out of range 0..{g.n - 1}")
-    d = multi_source_bfs(g, S2)[s1]
-    worst = float(d.max())
-    return worst if worst == UNREACHABLE else int(worst)
+    return _hops(multi_source_bfs(g, S2)[s1].max())
 
 
 def partition_by_distance(g: Graph, V0, max_hop: int = DEFAULT_MAX_HOP) -> SubgroupPartition:

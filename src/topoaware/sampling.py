@@ -7,11 +7,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import ArgumentError, InternalInvariantError, SizeGuardError
-from .graph import UNREACHABLE, Graph, bfs_distances, closeness_centrality, degrees, \
-    multi_source_bfs, pagerank
+from .graph import Graph, _hops, closeness_centrality, degrees, multi_source_bfs, pagerank
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -23,7 +21,7 @@ METHODS = ("kcenter_greedy", "coverage_sampling", "random", "degree",
 class SeedSelection:
     """An ordered seed set with its k-center objective.
 
-    The objective is always recomputed from scratch over the final set; when
+    The objective is read from the final set's multi-source hop array; when
     seeds = V the objective is undefined and reported as 0 with full_cover.
     """
 
@@ -35,23 +33,19 @@ class SeedSelection:
     start_policy: str | None = None
 
 
-def kcenter_objective(g: Graph, seeds) -> float:
-    """max over v outside seeds of min hop distance to seeds."""
-    seed_set = {int(v) for v in seeds}
-    if not seed_set:
-        raise ArgumentError("seed set is empty")
-    if len(seed_set) >= g.n:
+def kcenter_objective(dist) -> float:
+    """max over v outside the seed set of its hop distance to the set, read
+    from the set's `multi_source_bfs` array (seeds are exactly dist == 0)."""
+    worst = dist.max()
+    if worst == 0:
         raise ArgumentError("seed set covers every vertex; objective undefined")
-    dist = multi_source_bfs(g, seed_set)
-    mask = np.ones(g.n, dtype=bool)
-    mask[list(seed_set)] = False
-    worst = float(dist[mask].max())
-    return worst if worst == UNREACHABLE else int(worst)
+    return _hops(worst)
 
 
-def _finish(g: Graph, seeds: list[int], method: str, rng_seed, start_policy=None) -> SeedSelection:
+def _finish(g: Graph, seeds: list[int], dist: np.ndarray, method: str, rng_seed,
+            start_policy=None) -> SeedSelection:
     full = len(seeds) == g.n
-    objective = 0 if full else kcenter_objective(g, seeds)
+    objective = 0 if full else kcenter_objective(dist)
     return SeedSelection(seeds=tuple(seeds), objective=objective, method=method,
                          rng_seed=rng_seed, full_cover=full, start_policy=start_policy)
 
@@ -75,8 +69,8 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     current seed set (ties to the lowest id, unreachable before any finite).
 
     Distances are relaxed incrementally with one BFS per new seed, so the
-    whole selection costs k BFS sweeps. `start` is "highest_degree", "random"
-    (needs rng_seed), or an explicit vertex id.
+    whole selection, objective included, costs k BFS sweeps. `start` is
+    "highest_degree", "random" (needs rng_seed), or an explicit vertex id.
     """
     k = _check_k(g, k)
     if start == "highest_degree":
@@ -94,12 +88,12 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     else:
         raise ArgumentError(f"unsupported start policy {start!r}")
     seeds = [first]
-    dist = bfs_distances(g, first)
+    dist = multi_source_bfs(g, [first])
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         seeds.append(nxt)
-        dist = np.minimum(dist, bfs_distances(g, nxt))
-    return _finish(g, seeds, "kcenter_greedy", rng_seed, policy)
+        dist = np.minimum(dist, multi_source_bfs(g, [nxt]))
+    return _finish(g, seeds, dist, "kcenter_greedy", rng_seed, policy)
 
 
 def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
@@ -111,7 +105,7 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
         raise ArgumentError("coverage_sampling requires rng_seed")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     seeds = [_highest_degree(g)]
-    dist = bfs_distances(g, seeds[0])
+    dist = multi_source_bfs(g, seeds)
     for _ in range(k - 1):
         weights = np.where(np.isfinite(dist), dist, float(g.n))
         weights[seeds] = 0.0
@@ -120,8 +114,8 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
             raise InternalInvariantError("all candidate weights are zero")
         nxt = int(rng.choice(g.n, p=weights / total))
         seeds.append(nxt)
-        dist = np.minimum(dist, bfs_distances(g, nxt))
-    return _finish(g, seeds, "coverage_sampling", rng_seed)
+        dist = np.minimum(dist, multi_source_bfs(g, [nxt]))
+    return _finish(g, seeds, dist, "coverage_sampling", rng_seed)
 
 
 def baseline_select(g: Graph, k: int, method: str,
@@ -134,7 +128,7 @@ def baseline_select(g: Graph, k: int, method: str,
             raise ArgumentError("random baseline requires rng_seed")
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         seeds = [int(v) for v in rng.choice(g.n, size=k, replace=False)]
-        return _finish(g, seeds, "random", rng_seed)
+        return _finish(g, seeds, multi_source_bfs(g, seeds), "random", rng_seed)
     if method == "degree":
         scores = degrees(g).astype(np.float64)
     elif method == "centrality":
@@ -145,7 +139,7 @@ def baseline_select(g: Graph, k: int, method: str,
         raise ArgumentError(f"unknown baseline method {method!r}")
     order = np.lexsort((np.arange(g.n), -scores))
     seeds = [int(v) for v in order[:k]]
-    return _finish(g, seeds, method, rng_seed)
+    return _finish(g, seeds, multi_source_bfs(g, seeds), method, rng_seed)
 
 
 def brute_force_kcenter(g: Graph, k: int) -> SeedSelection:
@@ -155,17 +149,7 @@ def brute_force_kcenter(g: Graph, k: int) -> SeedSelection:
         raise SizeGuardError(
             f"brute force limited to n <= {BRUTE_FORCE_MAX_N}, got n = {g.n}")
     k = _check_k(g, k)
-    if k == g.n:
-        return _finish(g, list(range(g.n)), "brute_force", None)
-    dist = csgraph.dijkstra(g.csr, directed=True, unweighted=True)
-    best: tuple | None = None
-    best_obj = np.inf
-    for combo in itertools.combinations(range(g.n), k):
-        mask = np.ones(g.n, dtype=bool)
-        mask[list(combo)] = False
-        obj = float(dist[np.ix_(mask, list(combo))].min(axis=1).max())
-        if obj < best_obj:
-            best, best_obj = combo, obj
-    objective = best_obj if best_obj == UNREACHABLE else int(best_obj)
-    return SeedSelection(seeds=tuple(best), objective=objective,
-                         method="brute_force", rng_seed=None)
+    table = np.vstack([multi_source_bfs(g, [v]) for v in range(g.n)])
+    best = min(itertools.combinations(range(g.n), k),
+               key=lambda combo: table[list(combo)].min(axis=0).max())
+    return _finish(g, list(best), table[list(best)].min(axis=0), "brute_force", None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, bfs_distances, build_graph
+from .graph import Graph, build_graph, multi_source_bfs
 from .metrics import estimate_distortion
 from .sampling import brute_force_kcenter, kcenter_greedy
 
@@ -62,13 +62,13 @@ def _adjacency_lists(g: Graph):
 
 
 def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckResult:
-    """bfs_distances against the in-module deque BFS."""
+    """One-source multi_source_bfs against the in-module deque BFS."""
     for case in range(graphs):
         n = int(rng.integers(2, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
         adj = _adjacency_lists(g)
         source = int(rng.integers(n))
-        got = bfs_distances(g, source).copy()
+        got = multi_source_bfs(g, [source])
         if inject:
             got[source] += 1.0
         want = _reference_bfs(adj, source)

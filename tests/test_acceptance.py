@@ -10,13 +10,14 @@ import pytest
 
 import oracles
 from conftest import er_graph, id_graph
-from topoaware import (ArgumentError, EmbeddingTable, Report, bfs_distances,
+from topoaware import (ArgumentError, EmbeddingTable, Report,
                        brute_force_kcenter, build_graph, empirical_risk,
                        estimate_distortion, full_embedding_table,
                        group_distance, group_distance_point,
                        hop_embedding_profile, jsonable, kcenter_greedy,
                        kcenter_objective, lipschitz_labels,
-                       make_prediction_table, one_hot_features, ordering_check,
+                       make_prediction_table, multi_source_bfs, one_hot_features,
+                       ordering_check,
                        paired_distances_for_distortion, pagerank,
                        parse_edge_list, parse_label_table,
                        parse_report, parse_token_list, parse_vector_table,
@@ -65,18 +66,19 @@ def test_criterion_01_distance_oracle_equivalence(verdict):
         k = int(rng.integers(1, n)) if n > 1 else 1
         seeds = {int(x) for x in rng.choice(n, size=k, replace=False)}
         if n - k >= 1:
-            if kcenter_objective(g, seeds) != oracles.kcenter_objective(fw, seeds):
+            got = kcenter_objective(multi_source_bfs(g, seeds))
+            if got != oracles.kcenter_objective(fw, seeds):
                 mismatches.append(("objective", trial))
             for aggregator in ("max", "mean"):
                 want, want_excl = oracles.aggregate_distance(fw, seeds, aggregator)
                 if want is None:
                     try:
-                        lib_aggregate_distance(g, seeds, aggregator)
+                        lib_aggregate_distance(multi_source_bfs(g, seeds), aggregator)
                         mismatches.append(("aggregate-missing-error", trial))
                     except ArgumentError:
                         pass
                 else:
-                    got = lib_aggregate_distance(g, seeds, aggregator)
+                    got = lib_aggregate_distance(multi_source_bfs(g, seeds), aggregator)
                     if got.value != want or got.excluded_unreachable != want_excl:
                         mismatches.append(("aggregate", trial))
     elapsed = time.perf_counter() - t0
@@ -230,8 +232,8 @@ def test_criterion_06_seed_quality_vs_random(verdict):
         g = ds.graph
         greedy = kcenter_greedy(g, 15)
         random_sel = baseline_select(g, 15, "random", rng_seed=i + 10000)
-        g_mean = lib_aggregate_distance(g, set(greedy.seeds), "mean").value
-        r_mean = lib_aggregate_distance(g, set(random_sel.seeds), "mean").value
+        g_mean = lib_aggregate_distance(multi_source_bfs(g, greedy.seeds), "mean").value
+        r_mean = lib_aggregate_distance(multi_source_bfs(g, random_sel.seeds), "mean").value
         if g_mean <= r_mean:
             mean_wins += 1
         if greedy.objective <= random_sel.objective:
@@ -284,7 +286,7 @@ def test_criterion_08_metric_axioms(verdict):
     for trial in range(50):
         n = int(rng.integers(2, 31))
         g, _ = er_graph(rng, n, float(rng.uniform(0.1, 0.5)), connected=True)
-        D = np.vstack([bfs_distances(g, s) for s in range(n)])
+        D = np.vstack([multi_source_bfs(g, [s]) for s in range(n)])
         off = ~np.eye(n, dtype=bool)
         if not np.all(D >= 0):
             broken.append(("M1", trial))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
-                       FeatureMatrix, bfs_distances, connected_components,
+                       FeatureMatrix, connected_components,
                        full_embedding_table, lipschitz_labels, one_hot_features,
                        propagate, synthetic_sbm)
 

@@ -8,8 +8,9 @@ import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, aggregate_distance,
                        bound_report, empirical_risk, estimate_distortion,
-                       format_acc_md, make_prediction_table, ordering_check,
-                       partition_by_distance, subgroup_accuracy, trial_grouping)
+                       format_acc_md, make_prediction_table, multi_source_bfs,
+                       ordering_check, partition_by_distance, subgroup_accuracy,
+                       trial_grouping)
 
 
 def path_graph(n):
@@ -277,13 +278,13 @@ def test_trial_grouping_guards():
 
 def test_aggregate_path_max_and_mean():
     g = path_graph(4)
-    assert aggregate_distance(g, {0}, "max").value == 3.0
-    assert aggregate_distance(g, {0}, "mean").value == pytest.approx(2.0)
+    assert aggregate_distance(multi_source_bfs(g, {0}), "max").value == 3.0
+    assert aggregate_distance(multi_source_bfs(g, {0}), "mean").value == pytest.approx(2.0)
 
 
 def test_aggregate_excludes_unreachable():
     g = id_graph(4, [(0, 1), (2, 3)])
-    res = aggregate_distance(g, {0}, "mean")
+    res = aggregate_distance(multi_source_bfs(g, {0}), "mean")
     assert res.value == pytest.approx(1.0)
     assert res.excluded_unreachable == 2
 
@@ -291,14 +292,14 @@ def test_aggregate_excludes_unreachable():
 def test_aggregate_guards():
     g = path_graph(3)
     with pytest.raises(ArgumentError):
-        aggregate_distance(g, set(), "max")
+        aggregate_distance(multi_source_bfs(g, set()), "max")
     with pytest.raises(ArgumentError):
-        aggregate_distance(g, {0, 1, 2}, "max")
+        aggregate_distance(multi_source_bfs(g, {0, 1, 2}), "max")
     with pytest.raises(ArgumentError):
-        aggregate_distance(g, {0}, "median")
+        aggregate_distance(multi_source_bfs(g, {0}), "median")
     isolated = id_graph(3, [(1, 2)])
     with pytest.raises(ArgumentError):
-        aggregate_distance(isolated, {0}, "mean")
+        aggregate_distance(multi_source_bfs(isolated, {0}), "mean")
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["max", "mean"]))
@@ -312,9 +313,9 @@ def test_aggregate_matches_oracle(seed, aggregator):
     want, want_excl = oracles.aggregate_distance(fw, seeds, aggregator)
     if want is None:
         with pytest.raises(ArgumentError):
-            aggregate_distance(g, seeds, aggregator)
+            aggregate_distance(multi_source_bfs(g, seeds), aggregator)
     else:
-        res = aggregate_distance(g, seeds, aggregator)
+        res = aggregate_distance(multi_source_bfs(g, seeds), aggregator)
         assert res.value == pytest.approx(want)
         assert res.excluded_unreachable == want_excl
 

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI reports and case-study output against checked-in copies.
+"""Byte-for-byte CLI reports and case-study output against checked-in copies,
+and the number of BFS sweeps each CLI run makes on the same inputs.
 
 The inputs under tests/data/golden/ are a 300-vertex three-block SBM plus a
 detached pair (so overflow and unreachable counts are non-zero), six seeds,
@@ -18,6 +19,7 @@ import os
 from pathlib import Path
 
 import pytest
+from scipy.sparse import csgraph
 
 from topoaware.cli import main
 
@@ -44,7 +46,23 @@ CASES = {
     "evaluate_tabular": ([*_EVALUATE, "--format", "tabular"], 0),
     "distortion_missing_coverage": (["distortion", *_INPUTS,
                                      "--embeddings", "embeddings_partial.csv"], 4),
+    "evaluate_max": ([*_EVALUATE, "--aggregator", "max"], 0),
 }
+_STRUCTURED_AND_TABULAR = {
+    "sample_kcenter": ["sample", "--graph", "graph.txt", "--method", "kcenter", "--k", "7"],
+    "sample_kcenter_random": ["sample", "--graph", "graph.txt", "--method", "kcenter",
+                              "--k", "9", "--start", "random", "--seed", "4"],
+    "sample_coverage": ["sample", "--graph", "graph.txt", "--method", "coverage",
+                        "--k", "7", "--seed", "3"],
+    "sample_centrality": ["sample", "--graph", "graph.txt", "--method", "centrality",
+                          "--k", "7"],
+    "sample_random": ["sample", "--graph", "graph.txt", "--method", "random",
+                      "--fraction", "0.05", "--seed", "3"],
+    "verify": ["verify", "--seed", "0", "--graphs", "10"],
+}
+for _name, _argv in _STRUCTURED_AND_TABULAR.items():
+    CASES[_name] = (_argv, 0)
+    CASES[f"{_name}_tabular"] = ([*_argv, "--format", "tabular"], 0)
 
 
 def _run_case(argv, capsys):
@@ -65,6 +83,37 @@ def test_cli_report_is_byte_identical(name, capsys, monkeypatch):
     assert code == want_code, err
     got = out if want_code == 0 else err
     assert got == _expected_path(name, want_code).read_text(encoding="utf-8")
+
+
+# run -> csgraph.dijkstra sweeps: one seed-distance array per run, one sweep
+# per greedy seed (the objective reads the last array), and one objective
+# sweep for a score baseline
+BFS_COUNTS = {
+    "partition": (CASES["partition"][0], 1),
+    "distortion": (CASES["distortion_min"][0], 1),
+    "evaluate": (CASES["evaluate"][0], 1),
+    "sample_kcenter": (CASES["sample_kcenter"][0], 7),
+    "sample_coverage": (CASES["sample_coverage"][0], 7),
+    "sample_pagerank": (["sample", "--graph", "graph.txt", "--method", "pagerank",
+                         "--k", "7"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BFS_COUNTS))
+def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
+    argv, want = BFS_COUNTS[name]
+    sweeps = []
+    dijkstra = csgraph.dijkstra
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = _run_case(argv, capsys)
+    assert code == 0, err
+    assert len(sweeps) == want
 
 
 def _case_study():

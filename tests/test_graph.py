@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, UNREACHABLE,
-                       bfs_distances, build_graph, closeness_centrality,
+                       build_graph, closeness_centrality,
                        connected_components, degrees, is_unreachable,
                        multi_source_bfs, pagerank)
 
@@ -82,21 +82,21 @@ def test_graph_is_immutable():
 
 
 def test_bfs_path():
-    assert list(bfs_distances(path_graph(4), 0)) == [0, 1, 2, 3]
+    assert list(multi_source_bfs(path_graph(4), [0])) == [0, 1, 2, 3]
 
 
 def test_bfs_disconnected():
     g = build_graph([("0", "1"), ("2", "3")])
-    d = bfs_distances(g, 0)
+    d = multi_source_bfs(g, [0])
     assert list(d[:2]) == [0, 1]
     assert is_unreachable(d[2]) and is_unreachable(d[3])
 
 
 def test_bfs_bounds_error():
     with pytest.raises(BoundsError):
-        bfs_distances(path_graph(3), 3)
+        multi_source_bfs(path_graph(3), [3])
     with pytest.raises(BoundsError):
-        bfs_distances(path_graph(3), -1)
+        multi_source_bfs(path_graph(3), [-1])
 
 
 def test_bfs_matches_floyd_warshall_rows():
@@ -106,7 +106,7 @@ def test_bfs_matches_floyd_warshall_rows():
         g, edges = er_graph(rng, n, 0.15)
         fw = oracles.floyd_warshall(n, edges)
         s = int(rng.integers(n))
-        assert np.array_equal(bfs_distances(g, s), fw[s])
+        assert np.array_equal(multi_source_bfs(g, [s]), fw[s])
 
 
 def test_msbfs_all_sources_zero():
@@ -130,7 +130,7 @@ def test_msbfs_is_elementwise_min_of_bfs(data):
     g, _ = er_graph(rng, n, 0.1)
     k = int(rng.integers(1, min(n, 6)))
     sources = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-    expect = np.min([bfs_distances(g, s) for s in sources], axis=0)
+    expect = np.min([multi_source_bfs(g, [s]) for s in sources], axis=0)
     assert np.array_equal(multi_source_bfs(g, sources), expect)
 
 
@@ -249,7 +249,7 @@ def test_components_match_bfs_reachability(seed):
     assert labels.min() == 0 and set(labels) == set(range(labels.max() + 1))
     for _ in range(5):
         u, v = int(rng.integers(n)), int(rng.integers(n))
-        reachable = math.isfinite(bfs_distances(g, u)[v])
+        reachable = math.isfinite(multi_source_bfs(g, [u])[v])
         assert (labels[u] == labels[v]) == reachable
 
 
@@ -262,7 +262,7 @@ def test_hop_distance_metric_axioms_small():
     for _ in range(5):
         n = int(rng.integers(3, 16))
         g, _ = er_graph(rng, n, 0.3, connected=True)
-        D = np.vstack([bfs_distances(g, s) for s in range(n)])
+        D = np.vstack([multi_source_bfs(g, [s]) for s in range(n)])
         assert np.all(D >= 0)                       # M1
         assert np.all(np.diag(D) == 0)              # M2
         off = ~np.eye(n, dtype=bool)

@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
-                       EmbeddingTable, bfs_distances, build_graph,
+                       EmbeddingTable, build_graph,
                        estimate_distortion, full_embedding_table, group_distance,
                        group_distance_point, hop_embedding_profile, is_unreachable,
-                       paired_distances_for_distortion, partition_by_distance,
-                       sampled_pair_distances)
+                       multi_source_bfs, paired_distances_for_distortion,
+                       partition_by_distance, sampled_pair_distances)
 from topoaware.metrics import _POINT_TO_SET_ELEMENTS, _point_to_set
 
 
@@ -147,7 +147,7 @@ def test_partition_cells_are_disjoint_and_cover(seed):
         union |= c
         total += len(c)
     assert union == set(range(n)) and total == n
-    dist = np.min([bfs_distances(g, s) for s in sorted(seeds)], axis=0)
+    dist = np.min([multi_source_bfs(g, [s]) for s in sorted(seeds)], axis=0)
     for h in range(1, max_hop + 1):
         assert p.group(h) == frozenset(np.flatnonzero(dist == h).tolist())
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, SizeGuardError, baseline_select,
-                       bfs_distances, brute_force_kcenter, connected_components,
+                       brute_force_kcenter, connected_components,
                        coverage_sampling, is_unreachable, kcenter_greedy,
                        kcenter_objective, multi_source_bfs)
 
@@ -29,22 +29,22 @@ def build_star(leaves):
 
 
 def test_objective_star_center():
-    assert kcenter_objective(star_graph(5), {0}) == 1
+    assert kcenter_objective(multi_source_bfs(star_graph(5), {0})) == 1
 
 
 def test_objective_path_two_seeds():
-    assert kcenter_objective(path_graph(5), {1, 3}) == 1
+    assert kcenter_objective(multi_source_bfs(path_graph(5), {1, 3})) == 1
 
 
 def test_objective_rejects_full_vertex_set():
     g = path_graph(3)
     with pytest.raises(ArgumentError):
-        kcenter_objective(g, {0, 1, 2})
+        kcenter_objective(multi_source_bfs(g, {0, 1, 2}))
 
 
 def test_objective_unreachable():
     g = id_graph(4, [(0, 1), (2, 3)])
-    assert is_unreachable(kcenter_objective(g, {0}))
+    assert is_unreachable(kcenter_objective(multi_source_bfs(g, {0})))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -56,7 +56,7 @@ def test_objective_matches_oracle(seed):
     seeds = {int(v) for v in rng.choice(n, size=k, replace=False)}
     fw = oracles.floyd_warshall(n, edges)
     want = oracles.kcenter_objective(fw, seeds)
-    got = kcenter_objective(g, seeds)
+    got = kcenter_objective(multi_source_bfs(g, seeds))
     if want is None:
         assert is_unreachable(got)
     else:
@@ -117,7 +117,7 @@ def test_greedy_random_start_reproducible():
 def test_greedy_objective_is_recomputed():
     g = path_graph(7)
     sel = kcenter_greedy(g, 2)
-    assert sel.objective == kcenter_objective(g, set(sel.seeds))
+    assert sel.objective == kcenter_objective(multi_source_bfs(g, sel.seeds))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -184,6 +184,12 @@ def test_brute_lexicographic_ties():
     g = id_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     sel = brute_force_kcenter(g, 1)
     assert sel.seeds == (0,)
+
+
+def test_brute_every_set_leaves_a_vertex_unreachable():
+    g = id_graph(5, [(0, 1), (2, 3)])
+    sel = brute_force_kcenter(g, 2)
+    assert sel.seeds == (0, 1) and is_unreachable(sel.objective)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -254,7 +260,7 @@ def test_coverage_seeds_distinct_and_objective_consistent(seed):
     k = int(rng.integers(1, n))
     sel = coverage_sampling(g, k, rng_seed=seed)
     assert len(set(sel.seeds)) == k
-    assert sel.objective == kcenter_objective(g, set(sel.seeds))
+    assert sel.objective == kcenter_objective(multi_source_bfs(g, sel.seeds))
 
 
 # ---------------------------------------------------------------------------
