@@ -5,8 +5,12 @@ The inputs under tests/data/golden/ are a 300-vertex three-block SBM plus a
 detached pair (so overflow and unreachable counts are non-zero), six seeds,
 dim-8 embeddings from `topoaware embed`, block labels, and predictions that
 are 80% correct. `embeddings_partial.csv` lacks five rows within max_hop,
-one of them a seed. After a change that is meant to alter output, rewrite
-the expected copies with
+one of them a seed. `connected.txt` is a one-component 150-vertex SBM
+(`topoaware synth --sizes 50,50,50 --p-in 0.1 --p-out 0.01 --seed 1`), so
+its seed selections report finite k-center objectives; `small.txt` is a
+7-vertex graph for one-hot embeddings and feature tables. `bad/` holds one
+malformed input per message the four text parsers raise. After a change
+that is meant to alter output, rewrite the expected copies with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +25,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
+from topoaware import build_graph, connected_components, parse_edge_list
 from topoaware.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -47,7 +52,30 @@ CASES = {
     "distortion_missing_coverage": (["distortion", *_INPUTS,
                                      "--embeddings", "embeddings_partial.csv"], 4),
     "evaluate_max": ([*_EVALUATE, "--aggregator", "max"], 0),
+    "embed_features": (["embed", "--graph", "graph.txt", "--features", "embeddings.csv",
+                        "--layers", "1"], 0),
+    "embed_one_hot": (["embed", "--graph", "small.txt"], 0),
+    "synth": (["synth", "--sizes", "5,5,1", "--p-in", "0.5", "--p-out", "0.05",
+               "--seed", "1"], 0),
 }
+# name -> (argv, exit code) of runs that read one malformed file from bad/
+_BAD_INPUTS = {
+    "bad_edges_token_count": (["partition", "--graph", "bad/edges_token_count.txt",
+                               "--seeds", "seeds.txt"], 3),
+    "bad_seeds_token_count": (["partition", "--graph", "graph.txt",
+                               "--seeds", "bad/seeds_token_count.txt"], 3),
+}
+for _stem, _code in [("missing_header", 3), ("bad_header", 3), ("field_count", 3),
+                     ("duplicate", 3), ("non_numeric", 3), ("blank_value", 3),
+                     ("non_finite", 3), ("unknown", 4), ("missing_rows", 4)]:
+    _BAD_INPUTS[f"bad_features_{_stem}"] = (
+        ["embed", "--graph", "small.txt", "--features", f"bad/features_{_stem}.csv"], _code)
+for _stem in ["bad_header", "field_count", "duplicate", "non_numeric", "non_finite",
+              "mixed_modes", "no_rows"]:
+    _BAD_INPUTS[f"bad_labels_{_stem}"] = (
+        ["evaluate", *_INPUTS, "--labels", f"bad/labels_{_stem}.csv",
+         "--predictions", "predictions.csv"], 3)
+CASES.update(_BAD_INPUTS)
 _STRUCTURED_AND_TABULAR = {
     "sample_kcenter": ["sample", "--graph", "graph.txt", "--method", "kcenter", "--k", "7"],
     "sample_kcenter_random": ["sample", "--graph", "graph.txt", "--method", "kcenter",
@@ -59,6 +87,14 @@ _STRUCTURED_AND_TABULAR = {
     "sample_random": ["sample", "--graph", "graph.txt", "--method", "random",
                       "--fraction", "0.05", "--seed", "3"],
     "verify": ["verify", "--seed", "0", "--graphs", "10"],
+    "sample_connected_kcenter": ["sample", "--graph", "connected.txt", "--method",
+                                 "kcenter", "--k", "7"],
+    "sample_connected_coverage": ["sample", "--graph", "connected.txt", "--method",
+                                  "coverage", "--k", "7", "--seed", "3"],
+    "sample_connected_degree": ["sample", "--graph", "connected.txt", "--method",
+                                "degree", "--k", "7"],
+    "sample_connected_random": ["sample", "--graph", "connected.txt", "--method",
+                                "random", "--k", "7", "--seed", "3"],
 }
 for _name, _argv in _STRUCTURED_AND_TABULAR.items():
     CASES[_name] = (_argv, 0)
@@ -83,6 +119,13 @@ def test_cli_report_is_byte_identical(name, capsys, monkeypatch):
     assert code == want_code, err
     got = out if want_code == 0 else err
     assert got == _expected_path(name, want_code).read_text(encoding="utf-8")
+
+
+def test_connected_graph_has_one_component():
+    text = (GOLDEN / "connected.txt").read_text(encoding="utf-8")
+    g = build_graph(parse_edge_list(text))
+    assert (g.n, g.m) == (150, 430)
+    assert connected_components(g).max() == 0
 
 
 # run -> csgraph.dijkstra sweeps: one seed-distance array per run, one sweep
