@@ -41,9 +41,14 @@ RANDOMIZED_METHODS = ("coverage", "random")
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ArgumentError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 (byte 0x{data[exc.start]:02x})",
+                         line_number=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _load_graph(path: str) -> Graph:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,35 +25,36 @@ def is_unreachable(x) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph in compressed adjacency form.
+    """Undirected simple graph as one read-only symmetric scipy CSR matrix
+    with every stored entry 1.0.
 
-    `offsets`/`neighbors` form a CSR layout: the neighbors of v are
-    neighbors[offsets[v]:offsets[v+1]], sorted ascending. `tokens[i]` is the
-    external name of dense id i; ids are assigned in first-seen order.
+    The neighbors of v are neighbors[offsets[v]:offsets[v+1]] (the matrix's
+    indices and indptr), sorted ascending. `tokens[i]` is the external name
+    of dense id i; ids are assigned in first-seen order.
     """
 
-    n: int
-    m: int
-    offsets: np.ndarray
-    neighbors: np.ndarray
+    csr: sp.csr_matrix
     tokens: tuple[str, ...]
     token_index: dict[str, int] = field(repr=False)
 
+    @property
+    def n(self) -> int:
+        return len(self.tokens)
+
+    @property
+    def m(self) -> int:
+        return self.csr.nnz // 2
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.csr.indptr
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        return self.csr.indices
+
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        data = np.ones(len(self.neighbors), dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.neighbors, self.offsets), shape=(self.n, self.n)
-        )
-
-    def id_of(self, token: str) -> int:
-        try:
-            return self.token_index[token]
-        except KeyError:
-            raise ArgumentError(f"unknown vertex token {token!r}") from None
 
     def edge_token_pairs(self):
         """Edges as (token, token) with u < v in dense-id order."""
@@ -69,9 +69,8 @@ class Graph:
             return NotImplemented
         if set(self.tokens) != set(other.tokens):
             return False
-        mine = {frozenset(e) for e in self.edge_token_pairs()}
-        theirs = {frozenset(e) for e in other.edge_token_pairs()}
-        return mine == theirs
+        order = [other.token_index[t] for t in self.tokens]
+        return (self.csr != other.csr[order][:, order]).nnz == 0
 
 
 def build_graph(edge_tokens) -> Graph:
@@ -80,13 +79,8 @@ def build_graph(edge_tokens) -> Graph:
     Self-loops and duplicate edges are dropped; tokens appearing only in
     dropped pairs still get ids. Ids follow first-seen order.
     """
-    tokens: list[str] = []
-    index: dict[str, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    count = 0
-    for pair in edge_tokens:
-        count += 1
+    flat: list[str] = []
+    for count, pair in enumerate(edge_tokens, start=1):
         try:
             a, b = pair
         except (TypeError, ValueError):
@@ -94,37 +88,23 @@ def build_graph(edge_tokens) -> Graph:
         for t in (a, b):
             if not isinstance(t, str) or not t:
                 raise ArgumentError(f"edge {count} has a non-string or empty token: {t!r}")
-            if t not in index:
-                index[t] = len(tokens)
-                tokens.append(t)
-        if a != b:
-            us.append(index[a])
-            vs.append(index[b])
-    if count == 0:
+        flat += (a, b)
+    if not flat:
         raise EmptyGraphError("no edges supplied")
 
+    tokens = tuple(dict.fromkeys(flat))
+    index = dict(zip(tokens, range(len(tokens))))
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    u, v = ids[0::2], ids[1::2]
+    keep = u != v
+    u, v = u[keep], v[keep]
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     n = len(tokens)
-    if us:
-        u = np.asarray(us, dtype=np.int64)
-        v = np.asarray(vs, dtype=np.int64)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        m = pairs.shape[0]
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-        neighbors = cols
-    else:
-        m = 0
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        neighbors = np.empty(0, dtype=np.int64)
-    offsets.setflags(write=False)
-    neighbors.setflags(write=False)
-    return Graph(n=n, m=int(m), offsets=offsets, neighbors=neighbors,
-                 tokens=tuple(tokens), token_index=index)
+    csr = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    csr.data[:] = 1.0  # duplicate edges were summed
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.setflags(write=False)
+    return Graph(csr=csr, tokens=tokens, token_index=index)
 
 
 def _check_sources(g: Graph, sources) -> np.ndarray:

@@ -31,6 +31,21 @@ def _lines(text):
     return [line.rstrip("\n") for line in text]
 
 
+def _rows(lines, sep, width, noun, start=1):
+    """(line number, fields) for each line that is neither blank nor a '#'
+    comment, split on `sep` (None: any whitespace; otherwise each field is
+    stripped). A line without exactly `width` fields is a ParseError."""
+    for ln, raw in enumerate(lines, start=start):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split() if sep is None else [f.strip() for f in line.split(sep)]
+        if len(fields) != width:
+            raise ParseError(f"expected {width} {noun}, found {len(fields)}",
+                             line_number=ln, token=fields[0])
+        yield ln, fields
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 
@@ -38,18 +53,7 @@ def _lines(text):
 def parse_edge_list(text) -> list:
     """Whitespace-separated token pairs, one per line; '#' comments and blank
     lines skipped. Returns raw pairs (duplicates and self-loops included)."""
-    pairs = []
-    for ln, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError(
-                f"expected 2 tokens, found {len(tokens)}", line_number=ln,
-                token=tokens[0] if tokens else None)
-        pairs.append((tokens[0], tokens[1]))
-    return pairs
+    return [(a, b) for _, (a, b) in _rows(_lines(text), None, 2, "tokens")]
 
 
 def write_edge_list(g: Graph) -> str:
@@ -66,16 +70,7 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_token_list(text) -> list:
     """One token per line; '#' comments and blanks skipped."""
-    tokens = []
-    for ln, raw in enumerate(_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 1:
-            raise ParseError(f"expected 1 token, found {len(parts)}", line_number=ln)
-        tokens.append(parts[0])
-    return tokens
+    return [t for _, (t,) in _rows(_lines(text), None, 1, "token")]
 
 
 def write_token_list(tokens) -> str:
@@ -112,16 +107,8 @@ def parse_vector_table(text, expected: str, g: Graph):
     vectors = np.full((g.n, dim), np.nan)
     seen: dict[str, int] = {}
     unknown: list[str] = []
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
+    for ln, fields in _rows(lines[1:], ",", dim + 1, "fields", start=2):
         token = fields[0]
-        if len(fields) != dim + 1:
-            raise ParseError(
-                f"expected {dim + 1} fields, found {len(fields)}",
-                line_number=ln, token=token)
         if token in seen:
             raise ParseError(f"duplicate token {token!r} (first at line {seen[token]})",
                              line_number=ln, token=token)
@@ -185,14 +172,7 @@ def parse_label_table(text) -> LabelTable:
         raise ParseError('header must be "node,label"', line_number=1)
     values: dict = {}
     mode: str | None = None
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields, found {len(fields)}", line_number=ln)
-        token, label = fields
+    for ln, (token, label) in _rows(lines[1:], ",", 2, "fields", start=2):
         if token in values:
             raise ParseError(f"duplicate token {token!r}", line_number=ln, token=token)
         if _INT_RE.match(label):

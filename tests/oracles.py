@@ -38,6 +38,16 @@ def set_based_graph(edge_tokens):
     return tokens, edges
 
 
+def graphs_equal(g1, g2):
+    """Token-level graph equality as sets: the same token set and the same
+    set of frozenset token-pair edges (from each graph's edge_token_pairs)."""
+    if set(g1.tokens) != set(g2.tokens):
+        return False
+    mine = {frozenset(e) for e in g1.edge_token_pairs()}
+    theirs = {frozenset(e) for e in g2.edge_token_pairs()}
+    return mine == theirs
+
+
 def adjacency_sets(n, edges):
     """Neighbor sets from a collection of (u, v) id pairs."""
     adj = [set() for _ in range(n)]

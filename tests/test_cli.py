@@ -352,6 +352,16 @@ def test_bad_edge_file_is_parse_error(capsys, tmp_path):
     assert code == 3 and "line 1" in err
 
 
+def test_non_utf8_input_is_parse_error(capsys, ws):
+    _, _, seeds = ws
+    bad = seeds.parent / "latin1.txt"
+    bad.write_bytes(b"v0 v1\n\xff v2\n")
+    code, out, err = run(capsys, ["partition", "--graph", str(bad),
+                                  "--seeds", str(seeds)])
+    assert (code, out) == (3, "")
+    assert err == "parse error: line 2: not valid UTF-8 (byte 0xff)\n"
+
+
 def test_unknown_seed_token_is_coverage_error(capsys, ws):
     tmp, graph, _ = ws
     seeds = tmp / "bad_seeds.txt"

@@ -69,6 +69,39 @@ def test_build_matches_set_based_reference(pairs):
         assert list(nb) == sorted(nb)
 
 
+@st.composite
+def pair_list_and_variant(draw):
+    """A pair list (self-loops make isolated vertices) and a copy in another
+    order with swapped endpoints, then changed by at most one edge or token."""
+    pairs = draw(st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")),
+                          min_size=1, max_size=15))
+    other = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(pairs))]
+    change = draw(st.sampled_from(["none", "add_edge", "drop_edge", "add_token"]))
+    if change == "add_edge":
+        a, b = draw(st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=2,
+                             unique=True))
+        other.append((a, b))
+    elif change == "drop_edge" and any(a != b for a, b in other):
+        e = draw(st.sampled_from([frozenset(p) for p in other if p[0] != p[1]]))
+        other = [p for p in other if frozenset(p) != e] or [("a", "a")]
+    elif change == "add_token":
+        other.append(("z", "z"))
+    return pairs, other, change
+
+
+@given(pair_list_and_variant())
+def test_graph_eq_matches_set_oracle(case):
+    pairs, other, change = case
+    g1, g2 = build_graph(pairs), build_graph(other)
+    want = oracles.graphs_equal(g1, g2)
+    assert (g1 == g2) is want and (g2 == g1) is want
+    if change == "none":
+        assert want
+    if change == "add_token":
+        assert not want
+
+
 def test_graph_is_immutable():
     g = build_graph([("a", "b")])
     with pytest.raises(Exception):

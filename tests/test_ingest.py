@@ -169,6 +169,19 @@ def test_label_table_errors():
         assert ei.value.line_number == bad_line, text
 
 
+def test_field_count_errors_carry_the_first_field():
+    g = build_graph([("a", "b")])
+    for parse, text, line, token in [
+        (parse_edge_list, "a b\n\nx y z\n", 3, "x"),
+        (parse_token_list, "a\n# c\nb c\n", 3, "b"),
+        (lambda t: parse_vector_table(t, "embeddings", g), "node,d0\na,1\nb,1,2\n", 3, "b"),
+        (parse_label_table, "node,label\na,1\n c , 1 , 2\n", 3, "c"),
+    ]:
+        with pytest.raises(ParseError) as ei:
+            parse(text)
+        assert (ei.value.line_number, ei.value.token) == (line, token), text
+
+
 def test_label_table_round_trip():
     values = {"v1": 3, "v0": 0, "v2": 7}
     back = parse_label_table(write_label_table(values, "classification"))
