@@ -55,6 +55,10 @@ CASES = {
     "embed_features": (["embed", "--graph", "graph.txt", "--features", "embeddings.csv",
                         "--layers", "1"], 0),
     "embed_one_hot": (["embed", "--graph", "small.txt"], 0),
+    "embed_features_partial": (["embed", "--graph", "graph.txt",
+                                "--features", "embeddings_partial.csv"], 4),
+    "embed_missing_rows_layers_0": (["embed", "--graph", "small.txt", "--features",
+                                     "bad/features_missing_rows.csv", "--layers", "0"], 4),
     "synth": (["synth", "--sizes", "5,5,1", "--p-in", "0.5", "--p-out", "0.05",
                "--seed", "1"], 0),
 }
