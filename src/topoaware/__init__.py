@@ -10,14 +10,13 @@ from .graph import (UNREACHABLE, Graph, PageRankResult, build_graph,
                     is_unreachable, multi_source_bfs, pagerank)
 from .metrics import (DEFAULT_MAX_HOP, DistortionEstimate, EmbeddingTable,
                       ProfileRow, SubgroupPartition, estimate_distortion,
-                      full_embedding_table, group_distance,
-                      group_distance_point, hop_embedding_profile,
+                      group_distance, group_distance_point, hop_embedding_profile,
                       paired_distances_for_distortion, partition_by_distance,
                       sampled_pair_distances)
 from .sampling import (SeedSelection, baseline_select, brute_force_kcenter,
                        coverage_sampling, kcenter_greedy, kcenter_objective)
-from .embed import (FeatureMatrix, SyntheticDataset, lipschitz_labels,
-                    one_hot_features, propagate, synthetic_sbm)
+from .embed import (SyntheticDataset, lipschitz_labels, one_hot_features,
+                    propagate, synthetic_sbm)
 from .evaluate import (AggregateDistance, BoundReport, OrderingResult,
                        PredictionTable, SubgroupReport, aggregate_distance,
                        bound_report, empirical_risk, format_acc_md,

@@ -136,7 +136,7 @@ def cmd_distortion(args) -> int:
     g = _load_graph(args.graph)
     seeds = _load_seeds(args.seeds, g)
     try:
-        emb = parse_vector_table(_read(args.embeddings), "embeddings", g)
+        emb = parse_vector_table(_read(args.embeddings), g)
         part = partition_by_distance(g, seeds, args.max_hop)
         gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
     except CoverageError as exc:
@@ -225,7 +225,7 @@ def cmd_evaluate(args) -> int:
     bounds = None
     if args.embeddings is not None:
         try:
-            emb = parse_vector_table(_read(args.embeddings), "embeddings", g)
+            emb = parse_vector_table(_read(args.embeddings), g)
             gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
         except CoverageError as exc:
             raise _tokenize_coverage(exc, g) from None
@@ -260,14 +260,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph)
-    if args.features == "one_hot":
-        X = one_hot_features(g)
-    else:
-        try:
-            X = parse_vector_table(_read(args.features), "features", g)
-        except CoverageError as exc:
-            raise _tokenize_coverage(exc, g) from None
-    emb = propagate(g, X, args.layers)
+    try:
+        X = (one_hot_features(g) if args.features == "one_hot"
+             else parse_vector_table(_read(args.features), g))
+        emb = propagate(g, X, args.layers)
+    except CoverageError as exc:
+        raise _tokenize_coverage(exc, g) from None
     _emit(write_vector_table(emb, g), args.out)
     return EXIT_OK
 

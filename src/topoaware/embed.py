@@ -6,25 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CoverageError
+from .errors import ArgumentError, CoverageError, SizeGuardError
 from .graph import Graph, build_graph, degrees
-from .metrics import EmbeddingTable, _point_to_set, full_embedding_table
+from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-vertex input features; all entries finite."""
-
-    dim: int
-    rows: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError(f"dim must be positive, got {self.dim}")
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.dim:
-            raise ArgumentError(f"rows must be (n, {self.dim}), got {self.rows.shape}")
-        if not np.all(np.isfinite(self.rows)):
-            raise ArgumentError("feature entries must be finite")
+ONE_HOT_MAX_N = 5000  # one n x n float64 copy is 200 MB at this size
 
 
 @dataclass(frozen=True)
@@ -37,24 +23,32 @@ class SyntheticDataset:
     generator_params: tuple
 
 
-def one_hot_features(g: Graph) -> FeatureMatrix:
-    return FeatureMatrix(dim=g.n, rows=np.eye(g.n))
+def one_hot_features(g: Graph) -> EmbeddingTable:
+    if g.n > ONE_HOT_MAX_N:
+        raise SizeGuardError(
+            f"one-hot features for {g.n} vertices exceed the {ONE_HOT_MAX_N}-vertex "
+            "limit of an n x n matrix; pass --features with a feature table")
+    return EmbeddingTable(np.eye(g.n))
 
 
-def propagate(g: Graph, X: FeatureMatrix, layers: int) -> EmbeddingTable:
+def propagate(g: Graph, X: EmbeddingTable, layers: int) -> EmbeddingTable:
     """Mean aggregation over N(u) and u itself, identity update, repeated
-    `layers` times: an untrained SGC-style propagator."""
+    `layers` times: an untrained SGC-style propagator. X needs one row per
+    vertex, every row covered; that is checked before `layers`."""
+    if X.vectors.shape[0] != g.n:
+        raise ArgumentError(
+            f"feature matrix has {X.vectors.shape[0]} rows for a graph with {g.n} vertices")
+    missing = np.flatnonzero(~X.covered)
+    if len(missing):
+        raise CoverageError("vertices without feature rows", missing=tuple(missing.tolist()))
     if layers < 1:
         raise ArgumentError(f"layers must be >= 1, got {layers}")
-    if X.rows.shape[0] != g.n:
-        raise ArgumentError(
-            f"feature matrix has {X.rows.shape[0]} rows for a graph with {g.n} vertices")
-    H = np.asarray(X.rows, dtype=np.float64)
+    H = np.asarray(X.vectors, dtype=np.float64)
     denom = (degrees(g) + 1.0)[:, None]
     A = g.csr
     for _ in range(layers):
         H = (A @ H + H) / denom
-    return full_embedding_table(H)
+    return EmbeddingTable(H)
 
 
 def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticDataset:
@@ -93,9 +87,7 @@ def lipschitz_labels(emb: EmbeddingTable, anchors, noise: float = 0.0,
     if noise < 0.0:
         raise ArgumentError(f"noise must be >= 0, got {noise}")
     n = emb.vectors.shape[0]
-    missing = [v for v in range(n) if v not in emb.coverage]
-    if missing:
-        raise CoverageError("vertices without embeddings", missing=tuple(missing))
+    _require_coverage(emb, np.arange(n))
     if any(a < 0 or a >= n for a in anchor_ids):
         raise ArgumentError("anchor id out of range")
     targets = _point_to_set(emb, np.arange(n), np.asarray(anchor_ids), "min")

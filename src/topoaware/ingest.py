@@ -18,7 +18,6 @@ from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
 from .graph import Graph, degrees
 from .metrics import EmbeddingTable
-from .embed import FeatureMatrix
 
 SCHEMA_VERSION = "1"
 
@@ -26,8 +25,11 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 def _lines(text):
+    """Lines split at CRLF, CR and LF only (str.splitlines also splits at
+    form feeds, U+0085 and more), without the empty piece after a final break."""
     if isinstance(text, str):
-        return text.splitlines()
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        return lines[:-1] if lines[-1] == "" else lines
     return [line.rstrip("\n") for line in text]
 
 
@@ -89,14 +91,9 @@ def resolve_tokens(tokens, g: Graph) -> list:
 # vector tables
 
 
-def parse_vector_table(text, expected: str, g: Graph):
-    """Comma-separated vector rows under a "node,d0,d1,..." header.
-
-    expected="embeddings" -> EmbeddingTable (partial coverage allowed);
-    expected="features" -> FeatureMatrix (every vertex required).
-    """
-    if expected not in ("embeddings", "features"):
-        raise ArgumentError(f"expected must be embeddings or features, got {expected!r}")
+def parse_vector_table(text, g: Graph) -> EmbeddingTable:
+    """Comma-separated vector rows under a "node,d0,d1,..." header; vertices
+    without a row get a NaN row."""
     lines = _lines(text)
     if not lines or not lines[0].strip():
         raise ParseError("missing header", line_number=1)
@@ -125,30 +122,15 @@ def parse_vector_table(text, expected: str, g: Graph):
         vectors[g.token_index[token]] = values
     if unknown:
         raise CoverageError("unknown vertex tokens", missing=tuple(unknown), kind="token")
-    covered = frozenset(g.token_index[t] for t in seen)
-    if expected == "features":
-        missing = [g.tokens[v] for v in range(g.n) if v not in covered]
-        if missing:
-            raise CoverageError("vertices without feature rows",
-                                missing=tuple(missing), kind="token")
-        return FeatureMatrix(dim=dim, rows=vectors)
-    return EmbeddingTable(dim=dim, vectors=vectors, coverage=covered)
+    return EmbeddingTable(vectors)
 
 
-def write_vector_table(obj, g: Graph) -> str:
-    """Vector rows in dense-id order under the standard header; float repr is
-    shortest-round-trip so write -> parse is exact."""
-    if isinstance(obj, EmbeddingTable):
-        rows, ids = obj.vectors, sorted(obj.coverage)
-        dim = obj.dim
-    elif isinstance(obj, FeatureMatrix):
-        rows, ids = obj.rows, range(g.n)
-        dim = obj.dim
-    else:
-        raise ArgumentError(f"cannot write vectors for {type(obj).__name__}")
-    out = ["node," + ",".join(f"d{i}" for i in range(dim))]
-    for v in ids:
-        out.append(g.tokens[v] + "," + ",".join(repr(float(x)) for x in rows[v]))
+def write_vector_table(emb: EmbeddingTable, g: Graph) -> str:
+    """Covered rows in dense-id order under the standard header; float repr
+    is shortest-round-trip so write -> parse is exact."""
+    out = ["node," + ",".join(f"d{i}" for i in range(emb.dim))]
+    for v in np.flatnonzero(emb.covered).tolist():
+        out.append(g.tokens[v] + "," + ",".join(repr(float(x)) for x in emb.vectors[v]))
     return "\n".join(out) + "\n"
 
 

@@ -72,35 +72,33 @@ class DistortionEstimate:
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Per-vertex real vectors; rows outside `coverage` are undefined (NaN)."""
+    """Per-vertex real vectors, one row per vertex id. A row is covered when
+    it is all finite; every other row is all NaN."""
 
-    dim: int
     vectors: np.ndarray
-    coverage: frozenset
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ArgumentError(f"dim must be positive, got {self.dim}")
-        if self.vectors.ndim != 2 or self.vectors.shape[1] != self.dim:
-            raise ArgumentError(
-                f"vectors must be (rows, {self.dim}), got {self.vectors.shape}")
-        if self.coverage:
-            ids = np.fromiter(self.coverage, dtype=np.int64)
-            if ids.min() < 0 or ids.max() >= self.vectors.shape[0]:
-                raise BoundsError("coverage id outside the vector table")
-            if not np.all(np.isfinite(self.vectors[ids])):
-                raise ArgumentError("covered embedding vectors must be finite")
+        vec = self.vectors
+        if vec.ndim != 2 or vec.shape[1] < 1:
+            raise ArgumentError(f"vectors must be (rows, dim >= 1), got {vec.shape}")
+        if not np.all(np.isfinite(vec).all(axis=1) | np.isnan(vec).all(axis=1)):
+            raise ArgumentError("each embedding row must be all finite or all NaN")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @cached_property
+    def covered(self) -> np.ndarray:
+        """Read-only mask of the covered rows."""
+        mask = np.isfinite(self.vectors).all(axis=1)
+        mask.setflags(write=False)
+        return mask
 
     def vector(self, v: int) -> np.ndarray:
-        if v not in self.coverage:
+        if not (0 <= v < len(self.covered) and self.covered[v]):
             raise CoverageError("vertex has no embedding", missing=(v,))
         return self.vectors[v]
-
-
-def full_embedding_table(vectors: np.ndarray) -> EmbeddingTable:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    return EmbeddingTable(dim=vectors.shape[1], vectors=vectors,
-                          coverage=frozenset(range(vectors.shape[0])))
 
 
 def group_distance_point(g: Graph, v: int, S) -> float:
@@ -169,9 +167,12 @@ def estimate_distortion(graph_dists, embed_dists,
 
 
 def _require_coverage(emb: EmbeddingTable, needed: np.ndarray) -> None:
-    missing = [v for v in needed.tolist() if v not in emb.coverage]
-    if missing:
-        raise CoverageError("vertices without embeddings", missing=tuple(missing))
+    """Raise for the ids in `needed` (non-negative) without a covered row,
+    in `needed` order; ids past the last row count as uncovered."""
+    covered = np.append(emb.covered, False)
+    missing = needed[~covered[np.minimum(needed, len(emb.covered))]]
+    if len(missing):
+        raise CoverageError("vertices without embeddings", missing=tuple(missing.tolist()))
 
 
 _POINT_TO_SET_ELEMENTS = 1 << 18  # float64 elements per broadcast difference block
@@ -233,7 +234,7 @@ def sampled_pair_distances(g: Graph, emb: EmbeddingTable, rng_seed: int,
     pairs with finite graph distance, capped at max_pairs."""
     if max_pairs < 1:
         raise ArgumentError(f"max_pairs must be positive, got {max_pairs}")
-    covered = np.asarray(sorted(emb.coverage), dtype=np.int64)
+    covered = np.flatnonzero(emb.covered)
     if len(covered) < 2:
         raise ArgumentError("need at least two covered vertices")
     rng = np.random.Generator(np.random.PCG64(rng_seed))

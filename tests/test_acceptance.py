@@ -12,8 +12,7 @@ import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, EmbeddingTable, Report,
                        brute_force_kcenter, build_graph, empirical_risk,
-                       estimate_distortion, full_embedding_table,
-                       group_distance, group_distance_point,
+                       estimate_distortion, group_distance, group_distance_point,
                        hop_embedding_profile, jsonable, kcenter_greedy,
                        kcenter_objective, lipschitz_labels,
                        make_prediction_table, multi_source_bfs, one_hot_features,
@@ -339,9 +338,9 @@ def test_criterion_09_determinism_and_round_trips(verdict, tmp_path, capsys):
         ids = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
         vec = np.full((n, 3), np.nan)
         vec[ids] = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-6, 7)
-        emb = EmbeddingTable(dim=3, vectors=vec, coverage=frozenset(ids))
-        back = parse_vector_table(write_vector_table(emb, gr), "embeddings", gr)
-        if back.coverage != emb.coverage or not np.array_equal(
+        emb = EmbeddingTable(vec)
+        back = parse_vector_table(write_vector_table(emb, gr), gr)
+        if not np.array_equal(back.covered, emb.covered) or not np.array_equal(
                 back.vectors[ids], emb.vectors[ids]):
             problems.append(f"vector table trial {trial}")
         tokens = [gr.tokens[v] for v in ids]

@@ -175,7 +175,7 @@ def test_embed_matches_library(capsys, ws):
     code, out, _ = run(capsys, ["embed", "--graph", str(graph), "--layers", "2"])
     assert code == 0
     g = build_graph(parse_edge_list((tmp / "graph.txt").read_text()))
-    got = parse_vector_table(out, "embeddings", g)
+    got = parse_vector_table(out, g)
     want = propagate(g, one_hot_features(g), 2)
     assert np.array_equal(got.vectors, want.vectors)
 
@@ -184,6 +184,14 @@ def test_embed_rejects_bad_layers(capsys, ws):
     _, graph, _ = ws
     code, _, err = run(capsys, ["embed", "--graph", str(graph), "--layers", "0"])
     assert code == 2
+
+
+def test_embed_one_hot_size_guard_is_usage_error(capsys, tmp_path):
+    graph = tmp_path / "path.txt"
+    graph.write_text(write_edge_list(id_graph(5001, [(i, i + 1) for i in range(5000)])))
+    code, out, err = run(capsys, ["embed", "--graph", str(graph)])
+    assert code == 2 and out == ""
+    assert "5001 vertices" in err and "--features" in err
 
 
 def test_synth_deterministic_and_labelled(capsys, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,9 +9,9 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
-                       FeatureMatrix, connected_components,
-                       full_embedding_table, lipschitz_labels, one_hot_features,
-                       propagate, synthetic_sbm)
+                       SizeGuardError, connected_components, lipschitz_labels,
+                       one_hot_features, propagate, synthetic_sbm)
+from topoaware.embed import ONE_HOT_MAX_N
 
 
 def path_graph(n):
@@ -24,12 +26,24 @@ def test_one_hot_is_identity():
     g = path_graph(4)
     X = one_hot_features(g)
     assert X.dim == 4
-    assert np.array_equal(X.rows, np.eye(4))
+    assert np.array_equal(X.vectors, np.eye(4))
 
 
 def test_feature_matrix_rejects_non_finite():
-    with pytest.raises(ArgumentError):
-        FeatureMatrix(dim=1, rows=np.array([[np.nan]]))
+    with pytest.raises(CoverageError):
+        propagate(path_graph(2), EmbeddingTable(np.array([[1.0], [np.nan]])), layers=1)
+
+
+def test_one_hot_size_guard_fires_before_allocating():
+    g = path_graph(ONE_HOT_MAX_N + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="5001 vertices.*--features"):
+            one_hot_features(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +52,7 @@ def test_feature_matrix_rejects_non_finite():
 
 def test_propagate_isolated_vertex_keeps_features():
     g = id_graph(3, [(0, 1)])
-    X = FeatureMatrix(dim=1, rows=np.array([[1.0], [3.0], [7.0]]))
+    X = EmbeddingTable(np.array([[1.0], [3.0], [7.0]]))
     emb = propagate(g, X, layers=1)
     assert emb.vectors[2, 0] == pytest.approx(7.0)
     assert emb.vectors[0, 0] == pytest.approx(2.0)
@@ -47,7 +61,7 @@ def test_propagate_isolated_vertex_keeps_features():
 
 def test_propagate_path3_one_layer():
     g = path_graph(3)
-    X = FeatureMatrix(dim=1, rows=np.array([[0.0], [1.0], [2.0]]))
+    X = EmbeddingTable(np.array([[0.0], [1.0], [2.0]]))
     emb = propagate(g, X, layers=1)
     assert emb.vectors[:, 0] == pytest.approx([0.5, 1.0, 1.5])
 
@@ -55,7 +69,7 @@ def test_propagate_path3_one_layer():
 def test_propagate_row_count_mismatch():
     g = path_graph(3)
     with pytest.raises(ArgumentError):
-        propagate(g, FeatureMatrix(dim=1, rows=np.zeros((2, 1))), layers=1)
+        propagate(g, EmbeddingTable(np.zeros((2, 1))), layers=1)
     with pytest.raises(ArgumentError):
         propagate(g, one_hot_features(g), layers=0)
 
@@ -63,15 +77,15 @@ def test_propagate_row_count_mismatch():
 def test_propagate_constant_features_are_fixed_point():
     rng = np.random.default_rng(2)
     g, _ = er_graph(rng, 15, 0.3)
-    X = FeatureMatrix(dim=2, rows=np.tile([2.0, -1.0], (15, 1)))
+    X = EmbeddingTable(np.tile([2.0, -1.0], (15, 1)))
     emb = propagate(g, X, layers=4)
-    assert np.allclose(emb.vectors, X.rows)
+    assert np.allclose(emb.vectors, X.vectors)
 
 
 def test_propagate_respects_graph_automorphism():
     # path 0-1-2 is symmetric under swapping the endpoints
     g = path_graph(3)
-    X = FeatureMatrix(dim=1, rows=np.array([[5.0], [1.0], [5.0]]))
+    X = EmbeddingTable(np.array([[5.0], [1.0], [5.0]]))
     emb = propagate(g, X, layers=3)
     assert emb.vectors[0, 0] == pytest.approx(emb.vectors[2, 0])
 
@@ -83,7 +97,7 @@ def test_propagate_matches_dense_oracle(seed, layers):
     g, edges = er_graph(rng, n, 0.25)
     X = rng.normal(size=(n, 3))
     want = oracles.dense_propagate(n, edges, X, layers)
-    got = propagate(g, FeatureMatrix(dim=3, rows=X), layers).vectors
+    got = propagate(g, EmbeddingTable(X), layers).vectors
     assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -94,7 +108,7 @@ def test_propagate_output_stays_in_feature_hull(seed):
     n = int(rng.integers(2, 20))
     g, _ = er_graph(rng, n, 0.3)
     X = rng.normal(size=(n, 1))
-    got = propagate(g, FeatureMatrix(dim=1, rows=X), layers=3).vectors
+    got = propagate(g, EmbeddingTable(X), layers=3).vectors
     assert np.all(got >= X.min() - 1e-12)
     assert np.all(got <= X.max() + 1e-12)
 
@@ -167,14 +181,14 @@ def test_sbm_blocks_denser_inside_than_across():
 
 
 def test_lipschitz_anchor_targets_are_zero():
-    emb = full_embedding_table(np.arange(5, dtype=float).reshape(-1, 1))
+    emb = EmbeddingTable(np.arange(5, dtype=float).reshape(-1, 1))
     y = lipschitz_labels(emb, {0, 4})
     assert y[0] == 0.0 and y[4] == 0.0
     assert y.tolist() == [0.0, 1.0, 2.0, 1.0, 0.0]
 
 
 def test_lipschitz_line_single_anchor():
-    emb = full_embedding_table(np.arange(3, dtype=float).reshape(-1, 1))
+    emb = EmbeddingTable(np.arange(3, dtype=float).reshape(-1, 1))
     assert lipschitz_labels(emb, {0}).tolist() == [0.0, 1.0, 2.0]
 
 
@@ -182,7 +196,7 @@ def test_lipschitz_line_single_anchor():
 def test_lipschitz_targets_are_one_lipschitz(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 20))
-    emb = full_embedding_table(rng.normal(size=(n, 3)))
+    emb = EmbeddingTable(rng.normal(size=(n, 3)))
     anchors = {int(a) for a in rng.choice(n, size=int(rng.integers(1, 4)),
                                           replace=False)}
     y = lipschitz_labels(emb, anchors)
@@ -193,7 +207,7 @@ def test_lipschitz_targets_are_one_lipschitz(seed):
 
 
 def test_lipschitz_noise_reproducible_and_guarded():
-    emb = full_embedding_table(np.arange(6, dtype=float).reshape(-1, 1))
+    emb = EmbeddingTable(np.arange(6, dtype=float).reshape(-1, 1))
     a = lipschitz_labels(emb, {0}, noise=0.5, rng_seed=3)
     b = lipschitz_labels(emb, {0}, noise=0.5, rng_seed=3)
     assert np.array_equal(a, b)
@@ -209,7 +223,7 @@ def test_lipschitz_noise_reproducible_and_guarded():
 def test_lipschitz_requires_full_coverage():
     vec = np.full((3, 1), np.nan)
     vec[:2, 0] = [0.0, 1.0]
-    emb = EmbeddingTable(dim=1, vectors=vec, coverage=frozenset({0, 1}))
+    emb = EmbeddingTable(vec)
     with pytest.raises(CoverageError):
         lipschitz_labels(emb, {0})
 

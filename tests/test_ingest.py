@@ -8,10 +8,10 @@ from hypothesis import given, strategies as st
 
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
-                       FeatureMatrix, ParseError, Report, build_graph,
-                       full_embedding_table, jsonable, parse_edge_list,
-                       parse_label_table, parse_report, parse_token_list,
-                       parse_vector_table, resolve_labels, resolve_tokens,
+                       ParseError, Report, build_graph, jsonable,
+                       parse_edge_list, parse_label_table, parse_report,
+                       parse_token_list, parse_vector_table, propagate,
+                       resolve_labels, resolve_tokens,
                        sig6, write_edge_list, write_label_table, write_report,
                        write_token_list, write_vector_table)
 
@@ -83,27 +83,27 @@ def test_resolve_tokens_strict():
 
 def test_vector_table_round_trip_exact():
     g = path_graph(3)
-    emb = full_embedding_table(np.array([[0.1, 2.0], [1.0 / 3.0, -5.5], [2.7, 0.0]]))
+    emb = EmbeddingTable(np.array([[0.1, 2.0], [1.0 / 3.0, -5.5], [2.7, 0.0]]))
     text = write_vector_table(emb, g)
-    back = parse_vector_table(text, "embeddings", g)
+    back = parse_vector_table(text, g)
     assert np.array_equal(back.vectors, emb.vectors)
-    assert back.coverage == emb.coverage and back.dim == 2
+    assert np.array_equal(back.covered, emb.covered) and back.dim == 2
 
 
 def test_vector_table_partial_coverage():
     g = path_graph(3)
-    back = parse_vector_table("node,d0\nv0,1.5\n", "embeddings", g)
-    assert back.coverage == frozenset({0})
+    back = parse_vector_table("node,d0\nv0,1.5\n", g)
+    assert np.array_equal(back.covered, [True, False, False])
     assert math.isnan(back.vectors[1, 0])
 
 
 def test_vector_table_features_require_full_coverage():
     g = path_graph(2)
     with pytest.raises(CoverageError) as ei:
-        parse_vector_table("node,d0\nv0,1.0\n", "features", g)
-    assert "v1" in ei.value.missing
-    X = parse_vector_table("node,d0\nv0,1.0\nv1,2.0\n", "features", g)
-    assert isinstance(X, FeatureMatrix)
+        propagate(g, parse_vector_table("node,d0\nv0,1.0\n", g), layers=1)
+    assert ei.value.missing == (1,)
+    X = parse_vector_table("node,d0\nv0,1.0\nv1,2.0\n", g)
+    assert isinstance(propagate(g, X, layers=1), EmbeddingTable)
 
 
 def test_vector_table_parse_errors_with_line_numbers():
@@ -117,14 +117,14 @@ def test_vector_table_parse_errors_with_line_numbers():
         ("node,d0\nv0,inf\n", 2),
     ]:
         with pytest.raises(ParseError) as ei:
-            parse_vector_table(text, "embeddings", g)
+            parse_vector_table(text, g)
         assert ei.value.line_number == bad_line
 
 
 def test_vector_table_unknown_tokens_are_coverage_error():
     g = path_graph(2)
     with pytest.raises(CoverageError) as ei:
-        parse_vector_table("node,d0\nv0,1\nwat,2\n", "embeddings", g)
+        parse_vector_table("node,d0\nv0,1\nwat,2\n", g)
     assert ei.value.kind == "token" and "wat" in ei.value.missing
 
 
@@ -137,9 +137,9 @@ def test_vector_table_round_trip_random(seed):
     ids = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
     vec = np.full((n, 2), np.nan)
     vec[ids] = rng.normal(size=(k, 2)) * 10.0 ** rng.integers(-8, 9)
-    emb = EmbeddingTable(dim=2, vectors=vec, coverage=frozenset(ids))
-    back = parse_vector_table(write_vector_table(emb, g), "embeddings", g)
-    assert back.coverage == emb.coverage
+    emb = EmbeddingTable(vec)
+    back = parse_vector_table(write_vector_table(emb, g), g)
+    assert np.array_equal(back.covered, emb.covered)
     assert np.array_equal(back.vectors[ids], emb.vectors[ids])
 
 
@@ -174,12 +174,25 @@ def test_field_count_errors_carry_the_first_field():
     for parse, text, line, token in [
         (parse_edge_list, "a b\n\nx y z\n", 3, "x"),
         (parse_token_list, "a\n# c\nb c\n", 3, "b"),
-        (lambda t: parse_vector_table(t, "embeddings", g), "node,d0\na,1\nb,1,2\n", 3, "b"),
+        (lambda t: parse_vector_table(t, g), "node,d0\na,1\nb,1,2\n", 3, "b"),
         (parse_label_table, "node,label\na,1\n c , 1 , 2\n", 3, "c"),
     ]:
         with pytest.raises(ParseError) as ei:
             parse(text)
         assert (ei.value.line_number, ei.value.token) == (line, token), text
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_only_crlf_cr_and_lf_end_lines(brk):
+    # str.splitlines breaks at these characters too; an editor does not
+    with pytest.raises(ParseError) as ei:
+        parse_edge_list(f"a b{brk}c d\n")
+    assert ei.value.line_number == 1 and "found 4" in str(ei.value)
+    with pytest.raises(ParseError) as ei:
+        parse_edge_list(f"a b{brk}\nx y z\n")
+    assert ei.value.line_number == 2
+    assert parse_edge_list("a b\r\nc d\re f\n") == [("a", "b"), ("c", "d"), ("e", "f")]
 
 
 def test_label_table_round_trip():

@@ -10,7 +10,7 @@ import oracles
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
                        EmbeddingTable, build_graph,
-                       estimate_distortion, full_embedding_table, group_distance,
+                       estimate_distortion, group_distance,
                        group_distance_point, hop_embedding_profile, is_unreachable,
                        multi_source_bfs, paired_distances_for_distortion,
                        partition_by_distance, sampled_pair_distances)
@@ -22,7 +22,7 @@ def path_graph(n):
 
 
 def line_embedding(g):
-    return full_embedding_table(np.arange(g.n, dtype=float).reshape(-1, 1))
+    return EmbeddingTable(np.arange(g.n, dtype=float).reshape(-1, 1))
 
 
 def profile(g, seeds, emb, max_hop, point_to_set="min"):
@@ -245,16 +245,40 @@ def test_distortion_alpha_one_iff_constant_ratio(gd, c):
 
 def test_embedding_table_validation():
     with pytest.raises(ArgumentError):
-        EmbeddingTable(dim=2, vectors=np.zeros((3, 1)), coverage=frozenset({0}))
+        EmbeddingTable(np.zeros(3))
     with pytest.raises(ArgumentError):
-        EmbeddingTable(dim=1, vectors=np.full((2, 1), np.inf),
-                       coverage=frozenset({0, 1}))
+        EmbeddingTable(np.full((2, 1), np.inf))
+
+
+def test_embedding_table_rows_are_all_finite_or_all_nan():
+    with pytest.raises(ArgumentError):
+        EmbeddingTable(np.array([[1.0, 2.0], [1.0, np.nan]]))
+    t = EmbeddingTable(np.array([[1.0, 2.0], [np.nan, np.nan]]))
+    assert t.dim == 2 and t.covered.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        t.covered[1] = True
+
+
+def test_embedding_table_lookup_outside_the_rows():
+    t = EmbeddingTable(np.array([[np.nan], [1.0]]))
+    assert t.vector(1)[0] == 1.0
+    for v in (2, -1):
+        with pytest.raises(CoverageError):
+            t.vector(v)
+
+
+def test_paired_distances_table_shorter_than_graph():
+    g = path_graph(5)
+    emb = EmbeddingTable(np.arange(3, dtype=float).reshape(-1, 1))
+    with pytest.raises(CoverageError) as ei:
+        paired_distances_for_distortion(partition_by_distance(g, {0}, max_hop=4), emb)
+    assert ei.value.missing == (3, 4)
 
 
 def test_embedding_table_uncovered_lookup():
     vec = np.full((3, 1), np.nan)
     vec[0] = 1.0
-    t = EmbeddingTable(dim=1, vectors=vec, coverage=frozenset({0}))
+    t = EmbeddingTable(vec)
     assert t.vector(0)[0] == 1.0
     with pytest.raises(CoverageError):
         t.vector(2)
@@ -285,7 +309,7 @@ def test_profile_matches_nested_loop_oracle(seed, mode):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 25))
     g, edges = er_graph(rng, n, 0.2, connected=True)
-    emb = full_embedding_table(rng.normal(size=(n, 3)))
+    emb = EmbeddingTable(rng.normal(size=(n, 3)))
     seeds = {int(v) for v in rng.choice(n, size=int(rng.integers(1, 4)), replace=False)}
     max_hop = int(rng.integers(1, 6))
     fw = oracles.floyd_warshall(n, edges)
@@ -302,7 +326,7 @@ def test_profile_requires_coverage():
     g = path_graph(4)
     vec = np.full((4, 1), np.nan)
     vec[:2, 0] = [0.0, 1.0]
-    emb = EmbeddingTable(dim=1, vectors=vec, coverage=frozenset({0, 1}))
+    emb = EmbeddingTable(vec)
     with pytest.raises(CoverageError):
         paired_distances_for_distortion(partition_by_distance(g, {0}, max_hop=3), emb)
 
@@ -324,7 +348,7 @@ def test_paired_distances_one_pair_per_eligible_vertex(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 22))
     g, edges = er_graph(rng, n, 0.2, connected=True)
-    emb = full_embedding_table(rng.normal(size=(n, 2)))
+    emb = EmbeddingTable(rng.normal(size=(n, 2)))
     seeds = {int(rng.integers(n))}
     max_hop = 3
     fw = oracles.floyd_warshall(n, edges)
@@ -339,7 +363,7 @@ def test_paired_distances_one_pair_per_eligible_vertex(seed):
 def test_paired_distances_check_mode_without_pairs():
     # a-b plus an isolated c: with both a and b seeded nothing is within max_hop
     g = build_graph([("a", "b"), ("c", "c")])
-    emb = full_embedding_table(np.arange(3, dtype=float).reshape(-1, 1))
+    emb = EmbeddingTable(np.arange(3, dtype=float).reshape(-1, 1))
     part = partition_by_distance(g, {0, 1})
     assert len(paired_distances_for_distortion(part, emb)[0]) == 0
     with pytest.raises(ArgumentError):
@@ -352,7 +376,7 @@ def test_point_to_set_matches_per_vertex_loop(seed, dim, rows_per_chunk, mode):
     rng = np.random.default_rng(seed)
     seed_count = -(-_POINT_TO_SET_ELEMENTS // (dim * rows_per_chunk))
     n = seed_count + 16
-    emb = full_embedding_table(rng.normal(size=(n, dim)))
+    emb = EmbeddingTable(rng.normal(size=(n, dim)))
     seed_ids = np.sort(rng.choice(n, size=seed_count, replace=False))
     vs = rng.integers(0, n, size=int(rng.integers(2, 5)) * rows_per_chunk + 1)
     got = _point_to_set(emb, vs, seed_ids, mode)
@@ -362,7 +386,7 @@ def test_point_to_set_matches_per_vertex_loop(seed, dim, rows_per_chunk, mode):
 def test_sampled_pairs_cap_and_determinism():
     rng = np.random.default_rng(0)
     g, _ = er_graph(rng, 40, 0.2, connected=True)
-    emb = full_embedding_table(rng.normal(size=(40, 2)))
+    emb = EmbeddingTable(rng.normal(size=(40, 2)))
     gd1, ed1 = sampled_pair_distances(g, emb, rng_seed=5, max_pairs=50)
     gd2, ed2 = sampled_pair_distances(g, emb, rng_seed=5, max_pairs=50)
     assert np.array_equal(gd1, gd2) and np.array_equal(ed1, ed2)
