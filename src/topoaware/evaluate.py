@@ -59,7 +59,10 @@ def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
             raise ArgumentError("zero_one loss requires classification mode")
         errs = [1.0 if preds.predicted[v] != preds.truth[v] else 0.0 for v in ids]
         return float(np.mean(errs))
-    diffs = np.asarray([float(preds.predicted[v]) - float(preds.truth[v]) for v in ids])
+    try:
+        diffs = np.asarray([float(preds.predicted[v]) - float(preds.truth[v]) for v in ids])
+    except OverflowError:
+        raise ArgumentError(f"{loss} loss needs labels that fit a float") from None
     return float(np.mean(np.abs(diffs) if loss == "absolute" else diffs ** 2))
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InternalInvariantError, SizeGuardError
-from .graph import Graph, _hops, closeness_centrality, degrees, multi_source_bfs, pagerank
+from .graph import (Graph, _hops, closeness_centrality, degrees, multi_source_bfs, pagerank,
+                    relax)
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -68,8 +69,11 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     """Farthest-first traversal: each step adds the vertex farthest from the
     current seed set (ties to the lowest id, unreachable before any finite).
 
-    Distances are relaxed incrementally with one BFS per new seed, so the
-    whole selection, objective included, costs k BFS sweeps. `start` is
+    The first seed costs one BFS sweep; each later seed lowers the distance
+    array in place with `relax`, a pruned frontier expansion that visits
+    only the vertices it brings closer. On a high-diameter graph `relax`
+    falls back to a full sweep, so k sweeps (O(k·m)) is the worst case, and
+    the final array always equals `multi_source_bfs(g, seeds)`. `start` is
     "highest_degree", "random" (needs rng_seed), or an explicit vertex id.
     """
     k = _check_k(g, k)
@@ -92,14 +96,15 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         seeds.append(nxt)
-        dist = np.minimum(dist, multi_source_bfs(g, [nxt]))
+        relax(g, dist, nxt)
     return _finish(g, seeds, dist, "kcenter_greedy", rng_seed, policy)
 
 
 def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
     """Probabilistic coverage sampling: start at the highest-degree vertex,
     then draw each next seed with probability proportional to its current
-    distance to the seed set (unreachable weighted as n)."""
+    distance to the seed set (unreachable weighted as n). Distances are
+    kept as in `kcenter_greedy`."""
     k = _check_k(g, k)
     if rng_seed is None:
         raise ArgumentError("coverage_sampling requires rng_seed")
@@ -114,7 +119,7 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
             raise InternalInvariantError("all candidate weights are zero")
         nxt = int(rng.choice(g.n, p=weights / total))
         seeds.append(nxt)
-        dist = np.minimum(dist, multi_source_bfs(g, [nxt]))
+        relax(g, dist, nxt)
     return _finish(g, seeds, dist, "coverage_sampling", rng_seed)
 
 

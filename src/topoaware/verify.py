@@ -61,6 +61,17 @@ def _adjacency_lists(g: Graph):
     return [list(map(int, g.neighbors_of(v))) for v in range(g.n)]
 
 
+def _reference_farthest_first(adj, k: int) -> list[int]:
+    """Farthest-first seeds from the highest-degree vertex, with one deque
+    BFS and a minimum per seed; ties go to the lowest id."""
+    seeds = [int(np.argmax([len(nbrs) for nbrs in adj]))]
+    dist = _reference_bfs(adj, seeds[0])
+    for _ in range(k - 1):
+        seeds.append(int(np.argmax(dist)))
+        dist = np.minimum(dist, _reference_bfs(adj, seeds[-1]))
+    return seeds
+
+
 def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckResult:
     """One-source multi_source_bfs against the in-module deque BFS."""
     for case in range(graphs):
@@ -81,13 +92,20 @@ def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckR
 
 
 def check_greedy(rng, graphs: int, n_max: int, inject: bool = False) -> CheckResult:
-    """Farthest-first objective within 2x the exhaustive optimum."""
+    """Farthest-first seeds equal to the in-module deque-BFS traversal, and
+    their objective within 2x the exhaustive optimum."""
     n_max = min(n_max, 12)
     for case in range(graphs):
         n = int(rng.integers(4, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.1, 0.4)), connected=True)
         k = int(rng.integers(1, 4))
-        greedy = kcenter_greedy(g, k).objective
+        sel = kcenter_greedy(g, k)
+        want = _reference_farthest_first(_adjacency_lists(g), k)
+        if list(sel.seeds) != want:
+            return CheckResult("greedy", False, case + 1, {
+                "case": case, "n": n, "k": k,
+                "seeds": list(sel.seeds), "reference_seeds": want})
+        greedy = sel.objective
         if inject:
             greedy = greedy * 3
         best = brute_force_kcenter(g, k).objective

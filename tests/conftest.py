@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -32,3 +35,57 @@ def er_graph(rng, n, p, connected=False):
             edges.add((a, b) if a < b else (b, a))
     edges = sorted(edges)
     return id_graph(n, edges), edges
+
+
+def grid_edges(rows, cols):
+    """Id pairs of a rows x cols grid with row-major ids."""
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    return [(int(u), int(v)) for a, b in ((ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:]))
+            for u, v in zip(a.ravel(), b.ravel())]
+
+
+def grid_graph(rows, cols):
+    return id_graph(rows * cols, grid_edges(rows, cols))
+
+
+def tied_graph(rng):
+    """Graph with many equal hop distances: one to four components (cycles,
+    grids, complete bipartite blocks, sparse random blocks) plus up to three
+    isolated vertices, under a random id permutation."""
+    edges, n = [], 0
+    for _ in range(int(rng.integers(1, 5))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            size = int(rng.integers(3, 12))
+            block = [(i, (i + 1) % size) for i in range(size)]
+        elif kind == 1:
+            rows, cols = (int(x) for x in rng.integers(1, 5, size=2))
+            size, block = rows * cols, grid_edges(rows, cols)
+        elif kind == 2:
+            a, b = (int(x) for x in rng.integers(1, 5, size=2))
+            size = a + b
+            block = [(u, a + v) for u in range(a) for v in range(b)]
+        else:
+            size = int(rng.integers(2, 12))
+            block = [(u, v) for u in range(size) for v in range(u + 1, size)
+                     if rng.random() < 0.25]
+        edges += [(n + u, n + v) for u, v in block]
+        n += size
+    n += int(rng.integers(0, 4))
+    perm = rng.permutation(n)
+    return id_graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+# values of RELAX_LEVEL_CHARGE that force each branch of `relax`: at 0 a
+# level costs only its gathered neighbours, which never exceed one sweep;
+# the huge charge sends every call to the full-sweep fallback
+LEVEL_CHARGES = {"pruned": 0, "fallback": 10**12}
+
+
+@contextlib.contextmanager
+def level_charge(name):
+    import topoaware.graph
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topoaware.graph, "RELAX_LEVEL_CHARGE", LEVEL_CHARGES[name])
+        yield

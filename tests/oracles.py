@@ -11,6 +11,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.sparse import csgraph
 
 INF = math.inf
 
@@ -283,3 +284,50 @@ def random_connected_edges(n, p, rng):
         u, v = (a, b) if a < b else (b, a)
         edges.add((int(u), int(v)))
     return sorted(edges)
+
+
+# ---------------------------------------------------------------------------
+# seed selection by one full sweep per seed
+
+
+def _sweep(g, source):
+    """Hop distances from one source over the graph's CSR matrix (scipy)."""
+    return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
+                            indices=[source], min_only=True)
+
+
+def _objective(n, seeds, dist):
+    return 0 if len(seeds) == n else float(dist.max())
+
+
+def kcenter_greedy_sweeps(g, k, start="highest_degree", rng_seed=None):
+    """Farthest-first traversal with a full sweep and a minimum per seed.
+    Returns (seeds, objective)."""
+    if start == "highest_degree":
+        first = int(np.argmax(np.diff(g.csr.indptr)))
+    elif start == "random":
+        first = int(np.random.Generator(np.random.PCG64(rng_seed)).integers(g.n))
+    else:
+        first = int(start)
+    seeds = [first]
+    dist = _sweep(g, first)
+    for _ in range(k - 1):
+        nxt = int(np.argmax(dist))
+        seeds.append(nxt)
+        dist = np.minimum(dist, _sweep(g, nxt))
+    return seeds, _objective(g.n, seeds, dist)
+
+
+def coverage_sampling_sweeps(g, k, rng_seed):
+    """Distance-weighted seed draws with a full sweep and a minimum per seed.
+    Returns (seeds, objective)."""
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    seeds = [int(np.argmax(np.diff(g.csr.indptr)))]
+    dist = _sweep(g, seeds[0])
+    for _ in range(k - 1):
+        weights = np.where(np.isfinite(dist), dist, float(g.n))
+        weights[seeds] = 0.0
+        nxt = int(rng.choice(g.n, p=weights / weights.sum()))
+        seeds.append(nxt)
+        dist = np.minimum(dist, _sweep(g, nxt))
+    return seeds, _objective(g.n, seeds, dist)

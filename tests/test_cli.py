@@ -166,6 +166,15 @@ def test_sample_centrality_records_variant(capsys, ws):
     assert doc["payload"]["seeds"] == ["v2"]
 
 
+def test_sample_centrality_size_guard_is_usage_error(capsys, tmp_path):
+    graph = tmp_path / "path.txt"
+    graph.write_text(write_edge_list(id_graph(10_001, [(i, i + 1) for i in range(10_000)])))
+    code, out, err = run(capsys, ["sample", "--graph", str(graph),
+                                  "--method", "centrality", "--k", "1"])
+    assert code == 2 and out == ""
+    assert "10001 vertices" in err
+
+
 # ---------------------------------------------------------------------------
 # embed / synth
 

@@ -58,6 +58,14 @@ def test_risk_absolute_and_squared():
     assert empirical_risk(t, {0, 1}, "squared") == pytest.approx(2.5)
 
 
+def test_risk_labels_too_large_for_a_float():
+    t = table({0: 10**400, 1: 1}, {0: 1, 1: 1}, mode="regression")
+    for loss in ("absolute", "squared"):
+        with pytest.raises(ArgumentError, match=f"{loss} loss"):
+            empirical_risk(t, {0, 1}, loss)
+    assert empirical_risk(table({0: 10**400}, {0: 10**400}), {0}, "zero_one") == 0.0
+
+
 def test_risk_guards():
     t = table({0: 1.0}, {0: 1.0}, mode="regression")
     with pytest.raises(ArgumentError):

@@ -1,5 +1,6 @@
 """Byte-for-byte CLI reports and case-study output against checked-in copies,
-and the number of BFS sweeps each CLI run makes on the same inputs.
+and the number of BFS sweeps and relax calls each CLI run makes on the same
+inputs.
 
 The inputs under tests/data/golden/ are a 300-vertex three-block SBM plus a
 detached pair (so overflow and unreachable counts are non-zero), six seeds,
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
-from topoaware import build_graph, connected_components, parse_edge_list
+from topoaware import build_graph, connected_components, parse_edge_list, sampling
 from topoaware.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -132,35 +133,42 @@ def test_connected_graph_has_one_component():
     assert connected_components(g).max() == 0
 
 
-# run -> csgraph.dijkstra sweeps: one seed-distance array per run, one sweep
-# per greedy seed (the objective reads the last array), and one objective
-# sweep for a score baseline
+# run -> (csgraph.dijkstra sweeps, relax calls): one seed-distance array per
+# run, one objective sweep for a score baseline, and for a greedy run one
+# sweep for the first seed and one relax per later seed. Every relax on
+# graph.txt falls back to one sweep: n + nnz = 302 + 962 is below the
+# RELAX_LEVEL_CHARGE of its first level.
 BFS_COUNTS = {
-    "partition": (CASES["partition"][0], 1),
-    "distortion": (CASES["distortion_min"][0], 1),
-    "evaluate": (CASES["evaluate"][0], 1),
-    "sample_kcenter": (CASES["sample_kcenter"][0], 7),
-    "sample_coverage": (CASES["sample_coverage"][0], 7),
+    "partition": (CASES["partition"][0], 1, 0),
+    "distortion": (CASES["distortion_min"][0], 1, 0),
+    "evaluate": (CASES["evaluate"][0], 1, 0),
+    "sample_kcenter": (CASES["sample_kcenter"][0], 7, 6),
+    "sample_coverage": (CASES["sample_coverage"][0], 7, 6),
     "sample_pagerank": (["sample", "--graph", "graph.txt", "--method", "pagerank",
-                         "--k", "7"], 1),
+                         "--k", "7"], 1, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BFS_COUNTS))
 def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
-    argv, want = BFS_COUNTS[name]
-    sweeps = []
-    dijkstra = csgraph.dijkstra
+    argv, want_sweeps, want_relaxes = BFS_COUNTS[name]
+    sweeps, relaxes = [], []
+    dijkstra, relax = csgraph.dijkstra, sampling.relax
 
-    def counted(*args, **kwargs):
+    def counted_sweep(*args, **kwargs):
         sweeps.append(1)
         return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    def counted_relax(*args, **kwargs):
+        relaxes.append(1)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted_sweep)
+    monkeypatch.setattr(sampling, "relax", counted_relax)
     monkeypatch.chdir(GOLDEN)
     code, _, err = _run_case(argv, capsys)
     assert code == 0, err
-    assert len(sweeps) == want
+    assert (len(sweeps), len(relaxes)) == (want_sweeps, want_relaxes)
 
 
 def _case_study():

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csgraph
 
 import oracles
-from conftest import er_graph, id_graph
-from topoaware import (ArgumentError, BoundsError, EmptyGraphError, UNREACHABLE,
-                       build_graph, closeness_centrality,
+from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, tied_graph
+from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
+                       UNREACHABLE, build_graph, closeness_centrality,
                        connected_components, degrees, is_unreachable,
                        multi_source_bfs, pagerank)
+from topoaware.graph import CLOSENESS_MAX_N, relax
 
 
 def path_graph(n):
@@ -167,6 +169,52 @@ def test_msbfs_is_elementwise_min_of_bfs(data):
     assert np.array_equal(multi_source_bfs(g, sources), expect)
 
 
+def _counting_dijkstra(monkeypatch):
+    calls = []
+    dijkstra = csgraph.dijkstra
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    return calls
+
+
+@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@given(st.integers(0, 2**32 - 1))
+def test_relax_chain_matches_multi_source_bfs(charge, seed):
+    rng = np.random.default_rng(seed)
+    g = tied_graph(rng)
+    seeds = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
+    dist = multi_source_bfs(g, seeds[:1])
+    with pytest.MonkeyPatch.context() as mp, level_charge(charge):
+        sweeps = _counting_dijkstra(mp)
+        for s in seeds[1:]:
+            relax(g, dist, s)
+    assert np.array_equal(dist, multi_source_bfs(g, seeds))
+    # one fallback sweep per source not already in the set, or none at all
+    fresh = sum(s not in seeds[:i] for i, s in enumerate(seeds) if i)
+    assert len(sweeps) == (0 if charge == "pruned" else fresh)
+
+
+def test_relax_path_from_the_middle():
+    g = path_graph(7)
+    dist = multi_source_bfs(g, [0])
+    relax(g, dist, 4)
+    assert list(dist) == [0, 1, 2, 1, 0, 1, 2]
+
+
+def test_relax_reaches_a_new_component_and_checks_bounds():
+    g = build_graph([("0", "1"), ("2", "3"), ("4", "4")])
+    dist = multi_source_bfs(g, [0])
+    relax(g, dist, 3)
+    relax(g, dist, 4)
+    assert list(dist) == [0, 1, 1, 0, 0]
+    with pytest.raises(BoundsError):
+        relax(g, dist, 5)
+
+
 # ---------------------------------------------------------------------------
 # degrees
 
@@ -261,6 +309,14 @@ def test_closeness_matches_brute_force():
         fw = oracles.floyd_warshall(n, edges)
         want = oracles.closeness_from_allpairs(fw)
         assert np.allclose(closeness_centrality(g), want, atol=1e-12)
+
+
+def test_closeness_size_guard_fires_before_any_sweep(monkeypatch):
+    g = path_graph(CLOSENESS_MAX_N + 1)
+    sweeps = _counting_dijkstra(monkeypatch)
+    with pytest.raises(SizeGuardError, match="10001 vertices"):
+        closeness_centrality(g)
+    assert sweeps == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import er_graph, id_graph
+from conftest import LEVEL_CHARGES, er_graph, grid_graph, id_graph, level_charge, tied_graph
 from topoaware import (ArgumentError, SizeGuardError, baseline_select,
                        brute_force_kcenter, connected_components,
                        coverage_sampling, is_unreachable, kcenter_greedy,
@@ -155,6 +157,39 @@ def test_greedy_tie_breaks_to_lowest_id():
     assert sel.seeds == (0,)
 
 
+@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@given(st.integers(0, 2**32 - 1))
+def test_greedy_matches_full_sweep_oracle(charge, seed):
+    rng = np.random.default_rng(seed)
+    g = tied_graph(rng)
+    k = int(rng.integers(1, g.n + 1))
+    with level_charge(charge):
+        for start in ("highest_degree", "random", int(rng.integers(g.n))):
+            sel = kcenter_greedy(g, k, start=start, rng_seed=seed)
+            want = oracles.kcenter_greedy_sweeps(g, k, start, seed)
+            assert (list(sel.seeds), sel.objective) == want
+
+
+def _best_of_three(fn):
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+@pytest.mark.parametrize("shape", ["path", "grid"])
+def test_greedy_high_diameter_within_three_full_sweep_loops(shape):
+    # a pruned frontier runs one numpy step per BFS level, so without the
+    # full-sweep fallback a 20k-vertex path costs about 10x the sweep loop
+    g = path_graph(20_000) if shape == "path" else grid_graph(100, 100)
+    t_sweeps, want = _best_of_three(lambda: oracles.kcenter_greedy_sweeps(g, 200))
+    t_relax, sel = _best_of_three(lambda: kcenter_greedy(g, 200))
+    assert (list(sel.seeds), sel.objective) == want
+    assert t_relax <= 3 * t_sweeps, f"{t_relax:.3f}s vs full sweeps {t_sweeps:.3f}s"
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
@@ -261,6 +296,17 @@ def test_coverage_seeds_distinct_and_objective_consistent(seed):
     sel = coverage_sampling(g, k, rng_seed=seed)
     assert len(set(sel.seeds)) == k
     assert sel.objective == kcenter_objective(multi_source_bfs(g, sel.seeds))
+
+
+@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@given(st.integers(0, 2**32 - 1))
+def test_coverage_matches_full_sweep_oracle(charge, seed):
+    rng = np.random.default_rng(seed)
+    g = tied_graph(rng)
+    k = int(rng.integers(1, g.n + 1))
+    with level_charge(charge):
+        sel = coverage_sampling(g, k, rng_seed=seed)
+    assert (list(sel.seeds), sel.objective) == oracles.coverage_sampling_sweeps(g, k, seed)
 
 
 # ---------------------------------------------------------------------------

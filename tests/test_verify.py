@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from topoaware import ArgumentError, SizeGuardError, run_verify
+from topoaware import ArgumentError, SizeGuardError, kcenter_greedy, run_verify, verify
 from topoaware.verify import CHECK_NAMES
 
 
@@ -41,3 +43,14 @@ def test_size_guards():
         run_verify(rng_seed=0, n_max=61)
     with pytest.raises(ArgumentError):
         run_verify(rng_seed=0, inject_fault="everything")
+
+
+def test_greedy_check_compares_seeds_with_the_deque_reference(monkeypatch):
+    def reversed_seeds(g, k):
+        sel = kcenter_greedy(g, k)
+        return dataclasses.replace(sel, seeds=sel.seeds[::-1])
+
+    monkeypatch.setattr(verify, "kcenter_greedy", reversed_seeds)
+    greedy = run_verify(rng_seed=0, graphs=10, n_max=15)[1]
+    assert not greedy.passed
+    assert greedy.detail["seeds"] == greedy.detail["reference_seeds"][::-1]
