@@ -6,7 +6,9 @@ The inputs under tests/data/golden/ are a 300-vertex three-block SBM plus a
 detached pair (so overflow and unreachable counts are non-zero), six seeds,
 dim-8 embeddings from `topoaware embed`, block labels, and predictions that
 are 80% correct. `embeddings_partial.csv` lacks five rows within max_hop,
-one of them a seed. `connected.txt` is a one-component 150-vertex SBM
+one of them a seed; `predictions_partial.csv` lacks five vertices within
+max_hop, one of them a seed, and one beyond it. `connected.txt` is a
+one-component 150-vertex SBM
 (`topoaware synth --sizes 50,50,50 --p-in 0.1 --p-out 0.01 --seed 1`), so
 its seed selections report finite k-center objectives; `small.txt` is a
 7-vertex graph for one-hot embeddings and feature tables. `bad/` holds one
@@ -53,6 +55,8 @@ CASES = {
     "distortion_missing_coverage": (["distortion", *_INPUTS,
                                      "--embeddings", "embeddings_partial.csv"], 4),
     "evaluate_max": ([*_EVALUATE, "--aggregator", "max"], 0),
+    "evaluate_missing_predictions": (["evaluate", *_INPUTS, "--labels", "labels.csv",
+                                      "--predictions", "predictions_partial.csv"], 4),
     "embed_features": (["embed", "--graph", "graph.txt", "--features", "embeddings.csv",
                         "--layers", "1"], 0),
     "embed_one_hot": (["embed", "--graph", "small.txt"], 0),
