@@ -19,6 +19,11 @@ from .sampling import brute_force_kcenter, kcenter_greedy
 CHECK_NAMES = ("distance", "greedy", "distortion")
 MAX_GRAPHS = 500
 MAX_N = 60
+# the greedy check's large case: at 20k vertices and about 60k edges every
+# `relax` of a 30-seed traversal stays on its pruned branch
+SPARSE_N = 20_000
+SPARSE_EXTRA_EDGES = 40_000
+SPARSE_K = 30
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,26 @@ def _adjacency_lists(g: Graph):
     return [list(map(int, g.neighbors_of(v))) for v in range(g.n)]
 
 
-def _reference_farthest_first(adj, k: int) -> list[int]:
-    """Farthest-first seeds from the highest-degree vertex, with one deque
-    BFS and a minimum per seed; ties go to the lowest id."""
-    seeds = [int(np.argmax([len(nbrs) for nbrs in adj]))]
-    dist = _reference_bfs(adj, seeds[0])
+def _sparse_connected_graph(rng, n: int, extra: int) -> Graph:
+    """A random recursive tree (vertex i joins a uniform earlier vertex)
+    plus `extra` uniform random pairs: connected, sparse, low diameter."""
+    parent = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
+    us = np.concatenate([np.arange(1, n), rng.integers(0, n, extra)])
+    vs = np.concatenate([parent, rng.integers(0, n, extra)])
+    pairs = [(f"v{i}", f"v{i}") for i in range(n)]
+    pairs.extend((f"v{u}", f"v{v}") for u, v in zip(us.tolist(), vs.tolist()))
+    return build_graph(pairs)
+
+
+def _reference_farthest_first(g: Graph, k: int, sweep) -> list[int]:
+    """Farthest-first seeds from the highest-degree vertex, with one
+    `sweep(source)` distance array and a minimum per seed; ties go to the
+    lowest id."""
+    seeds = [int(np.argmax(np.diff(g.offsets)))]
+    dist = sweep(seeds[0])
     for _ in range(k - 1):
         seeds.append(int(np.argmax(dist)))
-        dist = np.minimum(dist, _reference_bfs(adj, seeds[-1]))
+        dist = np.minimum(dist, sweep(seeds[-1]))
     return seeds
 
 
@@ -91,16 +108,24 @@ def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckR
     return CheckResult("distance", True, graphs)
 
 
-def check_greedy(rng, graphs: int, n_max: int, inject: bool = False) -> CheckResult:
-    """Farthest-first seeds equal to the in-module deque-BFS traversal, and
-    their objective within 2x the exhaustive optimum."""
+def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
+                 inject: bool = False) -> CheckResult:
+    """Farthest-first seeds equal to a reference traversal, and their
+    objective within 2x the exhaustive optimum.
+
+    The small graphs use the in-module deque BFS as reference. Their n + nnz
+    is below one level's charge, so every `relax` there takes the full-sweep
+    fallback; one more case on a sparse connected graph from `sparse_rng`,
+    large enough that `relax` stays pruned, uses `multi_source_bfs` and a
+    minimum per seed as reference."""
     n_max = min(n_max, 12)
     for case in range(graphs):
         n = int(rng.integers(4, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.1, 0.4)), connected=True)
         k = int(rng.integers(1, 4))
         sel = kcenter_greedy(g, k)
-        want = _reference_farthest_first(_adjacency_lists(g), k)
+        adj = _adjacency_lists(g)
+        want = _reference_farthest_first(g, k, lambda s: _reference_bfs(adj, s))
         if list(sel.seeds) != want:
             return CheckResult("greedy", False, case + 1, {
                 "case": case, "n": n, "k": k,
@@ -113,7 +138,14 @@ def check_greedy(rng, graphs: int, n_max: int, inject: bool = False) -> CheckRes
             return CheckResult("greedy", False, case + 1, {
                 "case": case, "n": n, "k": k,
                 "greedy_objective": float(greedy), "optimal_objective": float(best)})
-    return CheckResult("greedy", True, graphs)
+    g = _sparse_connected_graph(sparse_rng, SPARSE_N, SPARSE_EXTRA_EDGES)
+    sel = kcenter_greedy(g, SPARSE_K)
+    want = _reference_farthest_first(g, SPARSE_K, lambda s: multi_source_bfs(g, [s]))
+    if list(sel.seeds) != want:
+        return CheckResult("greedy", False, graphs + 1, {
+            "case": graphs, "n": g.n, "k": SPARSE_K,
+            "seeds": list(sel.seeds), "reference_seeds": want})
+    return CheckResult("greedy", True, graphs + 1)
 
 
 def check_distortion(rng, samples: int, inject: bool = False) -> CheckResult:
@@ -145,8 +177,9 @@ def run_verify(rng_seed: int, graphs: int = 50, n_max: int = 30,
         raise ArgumentError(
             f"inject-fault must be one of {CHECK_NAMES}, got {inject_fault!r}")
     rng = np.random.Generator(np.random.PCG64(rng_seed))
+    sparse_rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
     return [
         check_distance(rng, graphs, n_max, inject=inject_fault == "distance"),
-        check_greedy(rng, graphs, n_max, inject=inject_fault == "greedy"),
+        check_greedy(rng, sparse_rng, graphs, n_max, inject=inject_fault == "greedy"),
         check_distortion(rng, graphs, inject=inject_fault == "distortion"),
     ]

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+import topoaware.graph
 from topoaware import ArgumentError, SizeGuardError, kcenter_greedy, run_verify, verify
 from topoaware.verify import CHECK_NAMES
 
@@ -54,3 +56,34 @@ def test_greedy_check_compares_seeds_with_the_deque_reference(monkeypatch):
     greedy = run_verify(rng_seed=0, graphs=10, n_max=15)[1]
     assert not greedy.passed
     assert greedy.detail["seeds"] == greedy.detail["reference_seeds"][::-1]
+
+
+@pytest.mark.parametrize("rng_seed", [0, 1])
+def test_greedy_check_large_case_keeps_relax_pruned(rng_seed, monkeypatch):
+    # a fallback is the one `multi_source_bfs` call `relax` makes; the
+    # traversal's first sweep goes through the name sampling imported
+    fallbacks = []
+    sweep = topoaware.graph.multi_source_bfs
+
+    def counted(*args, **kwargs):
+        fallbacks.append(1)
+        return sweep(*args, **kwargs)
+
+    rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
+    g = verify._sparse_connected_graph(rng, verify.SPARSE_N, verify.SPARSE_EXTRA_EDGES)
+    monkeypatch.setattr(topoaware.graph, "multi_source_bfs", counted)
+    sel = kcenter_greedy(g, verify.SPARSE_K)
+    assert len(sel.seeds) == verify.SPARSE_K and not fallbacks
+
+
+def test_greedy_check_compares_the_large_case(monkeypatch):
+    def shifted_on_large_graphs(g, k):
+        sel = kcenter_greedy(g, k)
+        if g.n < verify.SPARSE_N:
+            return sel
+        return dataclasses.replace(sel, seeds=sel.seeds[1:] + sel.seeds[:1])
+
+    monkeypatch.setattr(verify, "kcenter_greedy", shifted_on_large_graphs)
+    greedy = run_verify(rng_seed=0, graphs=3, n_max=12)[1]
+    assert not greedy.passed and greedy.cases == 4
+    assert greedy.detail["n"] == verify.SPARSE_N
