@@ -14,15 +14,14 @@ import numpy as np
 from .errors import ArgumentError, SizeGuardError
 from .graph import Graph, build_graph, multi_source_bfs
 from .metrics import estimate_distortion
-from .sampling import brute_force_kcenter, kcenter_greedy
+from .sampling import BRUTE_FORCE_MAX_N, brute_force_kcenter, kcenter_greedy
 
 CHECK_NAMES = ("distance", "greedy", "distortion")
 MAX_GRAPHS = 500
 MAX_N = 60
-# the greedy check's large case: at 20k vertices and about 60k edges every
+# the greedy check's sparse graph: at 20k vertices and about 60k edges every
 # `relax` of a 30-seed traversal stays on its pruned branch
 SPARSE_N = 20_000
-SPARSE_EXTRA_EDGES = 40_000
 SPARSE_K = 30
 
 
@@ -48,33 +47,33 @@ def _reference_bfs(adj, source):
     return np.asarray(dist)
 
 
-def _random_graph(rng, n, p, connected=False) -> Graph:
+def _id_graph(n: int, us, vs) -> Graph:
+    """Graph over ids 0..n-1 (token "v{i}" for id i) from id pairs."""
     pairs = [(f"v{i}", f"v{i}") for i in range(n)]
+    pairs.extend((f"v{u}", f"v{v}") for u, v in zip(us, vs))
+    return build_graph(pairs)
+
+
+def _random_graph(rng, n, p, connected=False) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p
-    edges = {(int(u), int(v)) for u, v in zip(iu[keep], ju[keep])}
+    us, vs = iu[keep].tolist(), ju[keep].tolist()
     if connected:
-        perm = rng.permutation(n)
-        for a, b in zip(perm, perm[1:]):
-            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
-            edges.add((u, v))
-    pairs.extend((f"v{u}", f"v{v}") for u, v in sorted(edges))
-    return build_graph(pairs)
+        perm = rng.permutation(n).tolist()
+        us, vs = us + perm[:-1], vs + perm[1:]
+    return _id_graph(n, us, vs)
 
 
 def _adjacency_lists(g: Graph):
     return [list(map(int, g.neighbors_of(v))) for v in range(g.n)]
 
 
-def _sparse_connected_graph(rng, n: int, extra: int) -> Graph:
+def _sparse_connected_graph(rng, n: int) -> Graph:
     """A random recursive tree (vertex i joins a uniform earlier vertex)
-    plus `extra` uniform random pairs: connected, sparse, low diameter."""
+    plus 2n uniform random pairs: connected, sparse, low diameter."""
     parent = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
-    us = np.concatenate([np.arange(1, n), rng.integers(0, n, extra)])
-    vs = np.concatenate([parent, rng.integers(0, n, extra)])
-    pairs = [(f"v{i}", f"v{i}") for i in range(n)]
-    pairs.extend((f"v{u}", f"v{v}") for u, v in zip(us.tolist(), vs.tolist()))
-    return build_graph(pairs)
+    us, vs = rng.integers(0, n, size=(2, 2 * n)).tolist()
+    return _id_graph(n, [*range(1, n), *us], [*parent.tolist(), *vs])
 
 
 def _reference_farthest_first(g: Graph, k: int, sweep) -> list[int]:
@@ -108,43 +107,43 @@ def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckR
     return CheckResult("distance", True, graphs)
 
 
+def _greedy_cases(rng, sparse_rng, graphs: int, n_max: int):
+    """(graph, k, reference sweep) per greedy case: `graphs` small connected
+    graphs checked with the deque BFS, then one sparse connected graph from
+    `sparse_rng` checked with `multi_source_bfs`."""
+    for _ in range(graphs):
+        n = int(rng.integers(4, n_max + 1))
+        g = _random_graph(rng, n, p=float(rng.uniform(0.1, 0.4)), connected=True)
+        adj = _adjacency_lists(g)
+        yield g, int(rng.integers(1, 4)), lambda s, adj=adj: _reference_bfs(adj, s)
+    g = _sparse_connected_graph(sparse_rng, SPARSE_N)
+    yield g, SPARSE_K, lambda s: multi_source_bfs(g, [s])
+
+
 def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
                  inject: bool = False) -> CheckResult:
     """Farthest-first seeds equal to a reference traversal, and their
-    objective within 2x the exhaustive optimum.
+    objective within 2x the exhaustive optimum where brute force is allowed.
 
-    The small graphs use the in-module deque BFS as reference. Their n + nnz
-    is below one level's charge, so every `relax` there takes the full-sweep
-    fallback; one more case on a sparse connected graph from `sparse_rng`,
-    large enough that `relax` stays pruned, uses `multi_source_bfs` and a
-    minimum per seed as reference."""
-    n_max = min(n_max, 12)
-    for case in range(graphs):
-        n = int(rng.integers(4, n_max + 1))
-        g = _random_graph(rng, n, p=float(rng.uniform(0.1, 0.4)), connected=True)
-        k = int(rng.integers(1, 4))
+    On the small graphs n + nnz is below one level's charge, so every
+    `relax` takes the full-sweep fallback; on the last, sparse graph every
+    `relax` stays on its pruned branch."""
+    cases = _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12))
+    for case, (g, k, sweep) in enumerate(cases):
         sel = kcenter_greedy(g, k)
-        adj = _adjacency_lists(g)
-        want = _reference_farthest_first(g, k, lambda s: _reference_bfs(adj, s))
+        want = _reference_farthest_first(g, k, sweep)
         if list(sel.seeds) != want:
             return CheckResult("greedy", False, case + 1, {
-                "case": case, "n": n, "k": k,
+                "case": case, "n": g.n, "k": k,
                 "seeds": list(sel.seeds), "reference_seeds": want})
-        greedy = sel.objective
-        if inject:
-            greedy = greedy * 3
+        if g.n > BRUTE_FORCE_MAX_N:
+            continue
+        greedy = sel.objective * 3 if inject else sel.objective
         best = brute_force_kcenter(g, k).objective
         if greedy > 2 * best:
             return CheckResult("greedy", False, case + 1, {
-                "case": case, "n": n, "k": k,
+                "case": case, "n": g.n, "k": k,
                 "greedy_objective": float(greedy), "optimal_objective": float(best)})
-    g = _sparse_connected_graph(sparse_rng, SPARSE_N, SPARSE_EXTRA_EDGES)
-    sel = kcenter_greedy(g, SPARSE_K)
-    want = _reference_farthest_first(g, SPARSE_K, lambda s: multi_source_bfs(g, [s]))
-    if list(sel.seeds) != want:
-        return CheckResult("greedy", False, graphs + 1, {
-            "case": graphs, "n": g.n, "k": SPARSE_K,
-            "seeds": list(sel.seeds), "reference_seeds": want})
     return CheckResult("greedy", True, graphs + 1)
 
 

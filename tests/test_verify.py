@@ -70,7 +70,7 @@ def test_greedy_check_large_case_keeps_relax_pruned(rng_seed, monkeypatch):
         return sweep(*args, **kwargs)
 
     rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
-    g = verify._sparse_connected_graph(rng, verify.SPARSE_N, verify.SPARSE_EXTRA_EDGES)
+    g = verify._sparse_connected_graph(rng, verify.SPARSE_N)
     monkeypatch.setattr(topoaware.graph, "multi_source_bfs", counted)
     sel = kcenter_greedy(g, verify.SPARSE_K)
     assert len(sel.seeds) == verify.SPARSE_K and not fallbacks
