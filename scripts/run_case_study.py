@@ -74,8 +74,8 @@ def main(argv=None) -> int:
     print(f"{'hop':>4} {'count':>6} {'mean dist':>10} {'std':>8}")
     for row in hop_embedding_profile(gd, ed):
         print(f"{row.hop:>4} {row.count:>6} {row.mean_distance:>10.4f} {row.std:>8.4f}")
-    if part.overflow or part.unreachable:
-        print(f"  overflow={len(part.overflow)} unreachable={len(part.unreachable)}")
+    if part.overflow_count or part.unreachable_count:
+        print(f"  overflow={part.overflow_count} unreachable={part.unreachable_count}")
 
     est = estimate_distortion(gd, ed)
     print(f"\ndistortion over {est.pair_count} vertex/seed-set pairs: "

@@ -35,6 +35,14 @@ EXIT_COVERAGE = 4
 EXIT_DEGENERATE = 5
 EXIT_INTERNAL = 70
 
+# error class -> (stderr prefix, exit code); the first match wins
+_ERRORS = ((ParseError, "parse error", EXIT_PARSE),
+           (CoverageError, "coverage error", EXIT_COVERAGE),
+           (DegenerateEmbeddingError, "degenerate data", EXIT_DEGENERATE),
+           (InternalInvariantError, "internal error", EXIT_INTERNAL),
+           (ArgumentError, "usage error", EXIT_USAGE),
+           (TopoawareError, "error", EXIT_INTERNAL))
+
 METHOD_CHOICES = ("kcenter", "coverage", "random", "degree", "centrality", "pagerank")
 RANDOMIZED_METHODS = ("coverage", "random")
 
@@ -96,21 +104,15 @@ def _resolve_k(args, n: int) -> tuple[int, bool]:
 
 
 def _parse_start(start_args, g: Graph):
-    if start_args is None:
-        return "highest_degree", "highest-degree"
-    policy = start_args[0]
-    if policy == "highest-degree":
-        if len(start_args) != 1:
-            raise ArgumentError("--start highest-degree takes no extra value")
-        return "highest_degree", "highest-degree"
-    if policy == "random":
-        if len(start_args) != 1:
-            raise ArgumentError("--start random takes no extra value")
-        return "random", "random"
+    policy, *rest = start_args or ["highest-degree"]
+    if policy in ("highest-degree", "random"):
+        if rest:
+            raise ArgumentError(f"--start {policy} takes no extra value")
+        return policy.replace("-", "_"), policy
     if policy == "vertex":
-        if len(start_args) != 2:
+        if len(rest) != 1:
             raise ArgumentError("--start vertex requires a token")
-        return resolve_tokens([start_args[1]], g)[0], f"vertex {start_args[1]}"
+        return resolve_tokens(rest, g)[0], f"vertex {rest[0]}"
     raise ArgumentError(f"unknown start policy {policy!r}")
 
 
@@ -122,11 +124,12 @@ def cmd_partition(args) -> int:
     g = _load_graph(args.graph)
     seeds = _load_seeds(args.seeds, g)
     part = partition_by_distance(g, seeds, args.max_hop)
+    counts = part.counts.tolist() + [0] * (part.max_hop + 1 - len(part.counts))
     payload = {
-        "seed_count": len(part.seed_set),
-        "hop_counts": [{"hop": k, "count": len(members)} for k, members in part.groups],
-        "overflow_count": len(part.overflow),
-        "unreachable_count": len(part.unreachable),
+        "seed_count": counts[0],
+        "hop_counts": [{"hop": k, "count": c} for k, c in enumerate(counts) if k],
+        "overflow_count": part.overflow_count,
+        "unreachable_count": part.unreachable_count,
     }
     _report(args, "partition", payload)
     return EXIT_OK
@@ -146,8 +149,8 @@ def cmd_distortion(args) -> int:
         "r": est.r, "alpha": est.alpha, "min_ratio": est.min_ratio,
         "max_ratio": est.max_ratio, "pair_count": est.pair_count,
         "excluded_pairs": est.excluded_pairs,
-        "overflow_count": len(part.overflow),
-        "unreachable_count": len(part.unreachable),
+        "overflow_count": part.overflow_count,
+        "unreachable_count": part.unreachable_count,
         "profile": [{"hop": row.hop, "mean_distance": row.mean_distance,
                      "std": row.std, "count": row.count}
                     for row in hop_embedding_profile(gd, ed)],
@@ -231,14 +234,12 @@ def cmd_evaluate(args) -> int:
             raise _tokenize_coverage(exc, g) from None
         est = estimate_distortion(gd, ed,
                                   exclude_zero_ratios=args.exclude_degenerate_pairs)
-        train_risk = 1.0 - report.train_accuracy
-        bounds = []
-        for k, _, count in report.per_hop:
-            br = bound_report(train_risk, est, k)
-            bounds.append({"hop": k, "count": count, "alpha": br.alpha,
-                           "group_distance": br.group_distance,
-                           "bound_driver": br.bound_driver,
-                           "bound_value": br.bound_value(args.bound_constant)})
+        rows = [(k, count, bound_report(1.0 - report.train_accuracy, est, k))
+                for k, _, count in report.per_hop]
+        bounds = [{"hop": k, "count": count, "alpha": br.alpha,
+                   "group_distance": br.group_distance, "bound_driver": br.bound_driver,
+                   "bound_value": br.bound_value(args.bound_constant)}
+                  for k, count, br in rows]
     payload = {
         "per_hop": [{"hop": k, "accuracy": acc, "count": count}
                     for k, acc, count in report.per_hop],
@@ -247,8 +248,8 @@ def cmd_evaluate(args) -> int:
         "overall_accuracy": overall,
         "acc_md": format_acc_md(100.0 * overall, 100.0 * report.max_discrepancy),
         "evaluated_count": len(evaluated),
-        "overflow_count": len(part.overflow),
-        "unreachable_count": len(part.unreachable),
+        "overflow_count": part.overflow_count,
+        "unreachable_count": part.unreachable_count,
         "aggregate_distance": {"value": agg.value, "aggregator": agg.aggregator,
                                "excluded_unreachable": agg.excluded_unreachable},
         "ordering": ordering,
@@ -399,24 +400,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_PARSE
-    except CoverageError as exc:
-        sys.stderr.write(f"coverage error: {exc}\n")
-        return EXIT_COVERAGE
-    except DegenerateEmbeddingError as exc:
-        sys.stderr.write(f"degenerate data: {exc}\n")
-        return EXIT_DEGENERATE
-    except InternalInvariantError as exc:
-        sys.stderr.write(f"internal error: {exc}\n")
-        return EXIT_INTERNAL
-    except ArgumentError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
     except TopoawareError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INTERNAL
+        prefix, code = next((p, c) for cls, p, c in _ERRORS if isinstance(exc, cls))
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CoverageError, SizeGuardError
+from .errors import ArgumentError, SizeGuardError
 from .graph import Graph, build_graph, degrees
 from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
@@ -38,9 +38,7 @@ def propagate(g: Graph, X: EmbeddingTable, layers: int) -> EmbeddingTable:
     if X.vectors.shape[0] != g.n:
         raise ArgumentError(
             f"feature matrix has {X.vectors.shape[0]} rows for a graph with {g.n} vertices")
-    missing = np.flatnonzero(~X.covered)
-    if len(missing):
-        raise CoverageError("vertices without feature rows", missing=tuple(missing.tolist()))
+    _require_coverage(X.covered, np.arange(g.n), "feature rows")
     if layers < 1:
         raise ArgumentError(f"layers must be >= 1, got {layers}")
     H = np.asarray(X.vectors, dtype=np.float64)
@@ -87,7 +85,7 @@ def lipschitz_labels(emb: EmbeddingTable, anchors, noise: float = 0.0,
     if noise < 0.0:
         raise ArgumentError(f"noise must be >= 0, got {noise}")
     n = emb.vectors.shape[0]
-    _require_coverage(emb, np.arange(n))
+    _require_coverage(emb.covered, np.arange(n), "embeddings")
     if any(a < 0 or a >= n for a in anchor_ids):
         raise ArgumentError("anchor id out of range")
     targets = _point_to_set(emb, np.arange(n), np.asarray(anchor_ids), "min")

@@ -8,20 +8,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ArgumentError, CoverageError
+from .errors import ArgumentError
 from .graph import UNREACHABLE
-from .metrics import DistortionEstimate, SubgroupPartition
+from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionTable:
-    """Predicted and true targets over the same covered vertex set."""
+    """Predicted and true labels as read-only int codes into `values` (equal
+    codes, equal values), one per vertex id; valid where `covered` is set."""
 
-    coverage: frozenset
-    predicted: dict
-    truth: dict
+    covered: np.ndarray
+    predicted: np.ndarray
+    truth: np.ndarray
+    values: tuple
     mode: str
 
 
@@ -30,39 +32,45 @@ def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
         raise ArgumentError(f"mode must be classification or regression, got {mode!r}")
     pk, tk = set(predicted), set(truth)
     if pk != tk:
-        diff = sorted(pk.symmetric_difference(tk))
         raise ArgumentError(
-            f"predicted and truth must cover the same vertices; {len(diff)} differ")
+            f"predicted and truth must cover the same vertices; {len(pk ^ tk)} differ")
     if mode == "classification":
         for m in (predicted, truth):
             for v, y in m.items():
                 if not isinstance(y, (int, np.integer)) or isinstance(y, bool) or y < 0:
                     raise ArgumentError(
                         f"classification labels must be non-negative ints, got {y!r} at {v}")
-    return PredictionTable(coverage=frozenset(int(v) for v in pk),
-                           predicted={int(v): predicted[v] for v in pk},
-                           truth={int(v): truth[v] for v in tk}, mode=mode)
+    ids = np.array([int(v) for v in pk], dtype=np.intp)
+    if np.any(ids < 0):
+        raise ArgumentError(f"vertex ids must be non-negative, got {int(ids.min())}")
+    covered = np.bincount(ids).astype(bool)
+    index: dict = {}  # label value -> code, over both tables
+    codes = np.zeros((2, len(covered)), dtype=np.intp)
+    codes[:, ids] = [[index.setdefault(m[v], len(index)) for v in pk] for m in (predicted, truth)]
+    return PredictionTable(covered=_read_only(covered), predicted=_read_only(codes[0]),
+                           truth=_read_only(codes[1]), values=tuple(index), mode=mode)
 
 
 def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
     """Mean loss over the subset; zero_one only in classification mode."""
     if loss not in LOSSES:
         raise ArgumentError(f"loss must be one of {LOSSES}, got {loss!r}")
-    ids = sorted({int(v) for v in subset})
-    if not ids:
+    ids = np.unique(np.fromiter(subset, dtype=np.intp))
+    if not len(ids):
         raise ArgumentError("subset is empty")
-    missing = [v for v in ids if v not in preds.coverage]
-    if missing:
-        raise CoverageError("vertices without predictions", missing=tuple(missing))
+    _require_coverage(preds.covered, ids, "predictions")
+    p, t = preds.predicted[ids], preds.truth[ids]
     if loss == "zero_one":
         if preds.mode != "classification":
             raise ArgumentError("zero_one loss requires classification mode")
-        errs = [1.0 if preds.predicted[v] != preds.truth[v] else 0.0 for v in ids]
-        return float(np.mean(errs))
+        return np.count_nonzero(p != t) / len(ids)
+    used = np.union1d(p, t)
+    floats = np.zeros(len(preds.values))
     try:
-        diffs = np.asarray([float(preds.predicted[v]) - float(preds.truth[v]) for v in ids])
+        floats[used] = [float(preds.values[c]) for c in used.tolist()]
     except OverflowError:
         raise ArgumentError(f"{loss} loss needs labels that fit a float") from None
+    diffs = floats[p] - floats[t]
     return float(np.mean(np.abs(diffs) if loss == "absolute" else diffs ** 2))
 
 
@@ -82,20 +90,16 @@ def subgroup_accuracy(partition: SubgroupPartition, preds: PredictionTable) -> S
     set. Predictions must cover the seeds and every group within max_hop."""
     if preds.mode != "classification":
         raise ArgumentError("subgroup accuracy requires classification predictions")
-    needed = np.flatnonzero(partition.dist <= partition.max_hop).tolist()
-    missing = [v for v in needed if v not in preds.coverage]
-    if missing:
-        raise CoverageError("vertices without predictions", missing=tuple(missing))
-    train_acc = 1.0 - empirical_risk(preds, partition.seed_set, "zero_one")
-    rows = []
-    for k, members in partition.groups:
-        if not members:
-            continue
-        acc = 1.0 - empirical_risk(preds, members, "zero_one")
-        rows.append((k, acc, len(members)))
-    accs = [acc for _, acc, _ in rows]
-    md = float(max(accs) - min(accs)) if len(accs) >= 2 else 0.0
-    return SubgroupReport(per_hop=tuple(rows), train_accuracy=float(train_acc),
+    within = partition.within
+    _require_coverage(preds.covered, within, "predictions")
+    hops = partition.dist[within].astype(np.intp)
+    wrong = preds.predicted[within] != preds.truth[within]
+    counts = partition.counts
+    # sums of 0/1 are exact, so R_k equals 1 - mean of the per-vertex errors
+    accs = (1.0 - np.bincount(hops[wrong], minlength=len(counts)) / counts).tolist()
+    rows = tuple(zip(range(1, len(counts)), accs[1:], counts[1:].tolist()))
+    md = max(accs[1:]) - min(accs[1:]) if len(rows) >= 2 else 0.0
+    return SubgroupReport(per_hop=rows, train_accuracy=accs[0],
                           max_discrepancy=md, max_hop=partition.max_hop)
 
 
@@ -142,21 +146,13 @@ def ordering_check(subgroup_risks) -> OrderingResult:
     if len(set(hops)) != len(hops):
         raise ArgumentError("duplicate hop indices")
     risks = [r for _, r in rows]
-    violations = []
-    for i, (hi, ri) in enumerate(rows):
-        for hj, rj in rows[:i] + rows[i + 1:]:
-            if hi > hj and ri < rj:
-                violations.append((hi, hj))
-    all_ties = len(set(risks)) == 1
-    if all_ties:
-        rho = 0.0
-    else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rho = float(stats.spearmanr(hops, risks).statistic)
-        if not np.isfinite(rho):
-            rho, all_ties = 0.0, True
-    return OrderingResult(violations=tuple(sorted(violations)), spearman=rho,
+    violations = sorted((hi, hj) for hi, ri in rows for hj, rj in rows
+                        if hi > hj and ri < rj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # equal risks give nan: all ties
+        rho = float(stats.spearmanr(hops, risks).statistic)
+    all_ties = not np.isfinite(rho)
+    return OrderingResult(violations=tuple(violations), spearman=0.0 if all_ties else rho,
                           all_ties=all_ties)
 
 
@@ -173,16 +169,9 @@ def trial_grouping(trials, group_count: int):
     if group_count > len(trials):
         raise ArgumentError(
             f"group_count {group_count} exceeds trial count {len(trials)}")
-    order = sorted(range(len(trials)), key=lambda i: -trials[i][0])
-    base = len(trials) // group_count
-    out = []
-    pos = 0
-    for gi in range(1, group_count + 1):
-        size = base if gi < group_count else len(trials) - pos
-        accs = np.asarray([trials[order[i]][1] for i in range(pos, pos + size)])
-        out.append((gi, float(accs.mean()), float(accs.var())))
-        pos += size
-    return out
+    accs = np.asarray([a for _, a in sorted(trials, key=lambda t: -t[0])])
+    blocks = np.split(accs, len(accs) // group_count * np.arange(1, group_count))
+    return [(gi, float(b.mean()), float(b.var())) for gi, b in enumerate(blocks, start=1)]
 
 
 @dataclass(frozen=True)

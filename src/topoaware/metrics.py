@@ -18,44 +18,42 @@ class SubgroupPartition:
     """Hop-distance partition of V relative to a seed set, held as the
     read-only multi-source hop array `dist` (seeds are exactly dist == 0).
 
-    groups[k-1] = (k, vertices at hop distance exactly k), for k = 1..max_hop.
-    overflow holds finite distances beyond max_hop; unreachable the rest.
+    counts[k] is the size of the hop group V_k (counts[0] of the seed set)
+    for k up to the largest hop present within max_hop, so every count is
+    positive; `overflow_count` counts the finite distances beyond max_hop,
+    `unreachable_count` the rest.
     """
 
     dist: np.ndarray
     max_hop: int
 
     @cached_property
-    def seed_set(self) -> frozenset:
-        return _ids(self.dist == 0)
-
-    @cached_property
-    def groups(self) -> tuple:
-        return tuple((k, _ids(self.dist == k)) for k in range(1, self.max_hop + 1))
+    def within(self) -> np.ndarray:
+        """Ids at hop 0..max_hop (the seeds and the hop groups), ascending."""
+        # hops are below n: the clamp keeps a huge max_hop out of the float compare
+        return _read_only(np.flatnonzero(self.dist <= min(self.max_hop, len(self.dist))))
 
     @cached_property
     def grouped(self) -> np.ndarray:
-        """Ids at hop 1..max_hop (the union of the groups), ascending."""
-        ids = np.flatnonzero((self.dist >= 1) & (self.dist <= self.max_hop))
-        ids.setflags(write=False)
-        return ids
+        """Ids at hop 1..max_hop (the union of the hop groups), ascending."""
+        return _read_only(self.within[self.dist[self.within] > 0])
 
     @cached_property
-    def overflow(self) -> frozenset:
-        return _ids(np.isfinite(self.dist) & (self.dist > self.max_hop))
+    def counts(self) -> np.ndarray:
+        return _read_only(np.bincount(self.dist[self.within].astype(np.intp)))
 
-    @cached_property
-    def unreachable(self) -> frozenset:
-        return _ids(~np.isfinite(self.dist))
+    @property
+    def unreachable_count(self) -> int:
+        return int(np.isinf(self.dist).sum())
 
-    def group(self, k: int) -> frozenset:
-        if not 1 <= k <= self.max_hop:
-            raise ArgumentError(f"hop {k} outside 1..{self.max_hop}")
-        return self.groups[k - 1][1]
+    @property
+    def overflow_count(self) -> int:
+        return len(self.dist) - len(self.within) - self.unreachable_count
 
 
-def _ids(mask: np.ndarray) -> frozenset:
-    return frozenset(np.flatnonzero(mask).tolist())
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -91,9 +89,7 @@ class EmbeddingTable:
     @cached_property
     def covered(self) -> np.ndarray:
         """Read-only mask of the covered rows."""
-        mask = np.isfinite(self.vectors).all(axis=1)
-        mask.setflags(write=False)
-        return mask
+        return _read_only(np.isfinite(self.vectors).all(axis=1))
 
     def vector(self, v: int) -> np.ndarray:
         if not (0 <= v < len(self.covered) and self.covered[v]):
@@ -121,9 +117,7 @@ def partition_by_distance(g: Graph, V0, max_hop: int = DEFAULT_MAX_HOP) -> Subgr
     bucket (finite distance > max_hop), and the unreachable set."""
     if max_hop < 1:
         raise ArgumentError(f"max_hop must be positive, got {max_hop}")
-    dist = multi_source_bfs(g, V0)
-    dist.setflags(write=False)
-    return SubgroupPartition(dist=dist, max_hop=max_hop)
+    return SubgroupPartition(dist=_read_only(multi_source_bfs(g, V0)), max_hop=max_hop)
 
 
 def estimate_distortion(graph_dists, embed_dists,
@@ -166,13 +160,13 @@ def estimate_distortion(graph_dists, embed_dists,
                               max_ratio=max_ratio, excluded_pairs=excluded)
 
 
-def _require_coverage(emb: EmbeddingTable, needed: np.ndarray) -> None:
-    """Raise for the ids in `needed` (non-negative) without a covered row,
-    in `needed` order; ids past the last row count as uncovered."""
-    covered = np.append(emb.covered, False)
-    missing = needed[~covered[np.minimum(needed, len(emb.covered))]]
+def _require_coverage(covered: np.ndarray, needed: np.ndarray, what: str) -> None:
+    """Raise for the ids in `needed` without a set `covered` entry, in
+    `needed` order; negative ids and ids past the mask count as uncovered."""
+    inside = (needed >= 0) & (needed < len(covered))
+    missing = needed[~np.append(covered, False)[np.where(inside, needed, -1)]]
     if len(missing):
-        raise CoverageError("vertices without embeddings", missing=tuple(missing.tolist()))
+        raise CoverageError(f"vertices without {what}", missing=tuple(missing.tolist()))
 
 
 _POINT_TO_SET_ELEMENTS = 1 << 18  # float64 elements per broadcast difference block
@@ -207,10 +201,9 @@ def paired_distances_for_distortion(part: SubgroupPartition, emb: EmbeddingTable
     vertex within max_hop must be embedded."""
     if point_to_set not in ("min", "mean"):
         raise ArgumentError(f"point_to_set must be 'min' or 'mean', got {point_to_set!r}")
-    dist = part.dist
-    _require_coverage(emb, np.flatnonzero(dist <= part.max_hop))
+    _require_coverage(emb.covered, part.within, "embeddings")
     vs = part.grouped
-    return dist[vs], _point_to_set(emb, vs, np.flatnonzero(dist == 0), point_to_set)
+    return part.dist[vs], _point_to_set(emb, vs, np.flatnonzero(part.dist == 0), point_to_set)
 
 
 def hop_embedding_profile(gd, ed) -> list[ProfileRow]:
@@ -220,12 +213,12 @@ def hop_embedding_profile(gd, ed) -> list[ProfileRow]:
     ed = np.asarray(ed, dtype=np.float64)
     if gd.shape != ed.shape:
         raise ArgumentError("graph and embedding distances must have the same shape")
-    rows = []
-    for k in np.unique(gd):
-        vals = ed[gd == k]
-        rows.append(ProfileRow(hop=int(k), mean_distance=float(vals.mean()),
-                               std=float(vals.std()), count=len(vals)))
-    return rows
+    # a stable sort keeps each hop's distances in vertex-id order
+    order = np.argsort(gd, kind="stable")
+    hops, starts = np.unique(gd[order], return_index=True)
+    return [ProfileRow(hop=int(k), mean_distance=float(vals.mean()),
+                       std=float(vals.std()), count=len(vals))
+            for k, vals in zip(hops.tolist(), np.split(ed[order], starts[1:]))]
 
 
 def sampled_pair_distances(g: Graph, emb: EmbeddingTable, rng_seed: int,

@@ -223,6 +223,79 @@ def point_to_set_loop(emb, vs, seed_ids, mode):
 
 
 # ---------------------------------------------------------------------------
+# hop groups and prediction tables as sets and dicts
+
+
+def frozenset_partition(dist, max_hop):
+    """The seed set, the hop groups (k, V_k) for k = 1..max_hop, the
+    overflow and the unreachable set as frozensets of ids, read from a
+    multi-source hop array."""
+    dist = np.asarray(dist)
+
+    def ids(mask):
+        return frozenset(np.flatnonzero(mask).tolist())
+
+    return {"seeds": ids(dist == 0),
+            "groups": [(k, ids(dist == k)) for k in range(1, max_hop + 1)],
+            "overflow": ids(np.isfinite(dist) & (dist > max_hop)),
+            "unreachable": ids(~np.isfinite(dist))}
+
+
+def dict_missing(predicted, subset):
+    """Ids of `subset` without a prediction, ascending."""
+    return [v for v in sorted({int(v) for v in subset}) if v not in predicted]
+
+
+def dict_risk(predicted, truth, subset, loss):
+    """Mean per-vertex loss over sorted(subset), read from the predicted and
+    true label dicts; every subset vertex must be a key. The float
+    conversion raises OverflowError for a label too large for a float."""
+    ids = sorted({int(v) for v in subset})
+    if loss == "zero_one":
+        return float(np.mean([1.0 if predicted[v] != truth[v] else 0.0 for v in ids]))
+    diffs = np.asarray([float(predicted[v]) - float(truth[v]) for v in ids])
+    return float(np.mean(np.abs(diffs) if loss == "absolute" else diffs ** 2))
+
+
+def dict_subgroup_accuracy(partition, predicted, truth):
+    """(per-hop rows, train accuracy, max discrepancy) from a
+    `frozenset_partition`: one zero-one dict risk per non-empty group."""
+    train = 1.0 - dict_risk(predicted, truth, partition["seeds"], "zero_one")
+    rows = tuple((k, 1.0 - dict_risk(predicted, truth, members, "zero_one"), len(members))
+                 for k, members in partition["groups"] if members)
+    accs = [acc for _, acc, _ in rows]
+    md = float(max(accs) - min(accs)) if len(accs) >= 2 else 0.0
+    return rows, float(train), md
+
+
+def hop_rows_by_mask(gd, ed):
+    """(hop, mean, population std, count) per distinct graph distance, with
+    one boolean mask per hop."""
+    gd, ed = np.asarray(gd, dtype=float), np.asarray(ed, dtype=float)
+    rows = []
+    for k in np.unique(gd):
+        vals = ed[gd == k]
+        rows.append((int(k), float(vals.mean()), float(vals.std()), len(vals)))
+    return rows
+
+
+def trial_blocks(trials, group_count):
+    """(group, mean, population variance) over contiguous blocks of the
+    accuracies sorted by distance descending (stable), remainder to the
+    last block, one index loop per block."""
+    order = sorted(range(len(trials)), key=lambda i: -trials[i][0])
+    base = len(trials) // group_count
+    out = []
+    pos = 0
+    for gi in range(1, group_count + 1):
+        size = base if gi < group_count else len(trials) - pos
+        accs = np.asarray([trials[order[i]][1] for i in range(pos, pos + size)])
+        out.append((gi, float(accs.mean()), float(accs.var())))
+        pos += size
+    return out
+
+
+# ---------------------------------------------------------------------------
 # statistics
 
 

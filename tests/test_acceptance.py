@@ -202,8 +202,8 @@ def test_criterion_05_risk_ordering_harness(verdict):
         preds = make_prediction_table(predicted, {v: float(y[v]) for v in range(g.n)},
                                       "regression")
         part = partition_by_distance(g, anchors, max_hop=5)
-        risks = [(k, empirical_risk(preds, members, "absolute"))
-                 for k, members in part.groups if members]
+        risks = [(k, empirical_risk(preds, np.flatnonzero(part.dist == k), "absolute"))
+                 for k in range(1, len(part.counts))]
         if len(risks) < 2:
             continue
         oc = ordering_check(risks)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import id_graph
-from topoaware import (build_graph, one_hot_features, parse_edge_list,
+from topoaware import (build_graph, cli, errors, one_hot_features, parse_edge_list,
                        parse_label_table, parse_report, parse_token_list,
                        parse_vector_table, propagate, synthetic_sbm,
                        write_edge_list, write_label_table, write_token_list)
@@ -386,6 +386,25 @@ def test_unknown_seed_token_is_coverage_error(capsys, ws):
     code, _, err = run(capsys, ["partition", "--graph", str(graph),
                                 "--seeds", str(seeds)])
     assert code == 4 and "nope" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.ParseError("bad", line_number=4), 3, "parse error: line 4: bad"),
+    (errors.CoverageError("gone", missing=("v1",), kind="token"), 4,
+     "coverage error: gone: v1"),
+    (errors.DegenerateEmbeddingError("flat"), 5, "degenerate data: flat"),
+    (errors.InternalInvariantError("broken"), 70, "internal error: broken"),
+    (errors.SizeGuardError("big"), 2, "usage error: big"),
+    (errors.TopoawareError("other"), 70, "error: other"),
+])
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, prefix):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    got = run(capsys, ["synth", "--sizes", "2", "--p-in", "0.5", "--p-out", "0.1",
+                       "--seed", "1"])
+    assert got == (code, "", prefix + "\n")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from conftest import er_graph, id_graph
-from topoaware import (ArgumentError, CoverageError, aggregate_distance,
+from topoaware import (ArgumentError, CoverageError, EmbeddingTable, aggregate_distance,
                        bound_report, empirical_risk, estimate_distortion,
-                       format_acc_md, make_prediction_table, multi_source_bfs,
-                       ordering_check, partition_by_distance, subgroup_accuracy,
-                       trial_grouping)
+                       format_acc_md, hop_embedding_profile, make_prediction_table,
+                       multi_source_bfs, ordering_check,
+                       paired_distances_for_distortion, partition_by_distance,
+                       subgroup_accuracy, trial_grouping)
 
 
 def path_graph(n):
@@ -100,7 +103,7 @@ def test_subgroup_md_is_max_minus_min():
     part = partition_by_distance(g, {0}, max_hop=5)
     truth = {v: 1 for v in range(31)}
     predicted = dict(truth)
-    part1 = sorted(part.group(1))
+    part1 = np.flatnonzero(part.dist == 1).tolist()
     for v in part1[:3]:
         predicted[v] = 0
     rep = subgroup_accuracy(part, table(predicted, truth))
@@ -153,6 +156,99 @@ def test_subgroup_needs_classification_and_coverage():
     short = table({0: 1, 1: 1}, {0: 1, 1: 1})
     with pytest.raises(CoverageError):
         subgroup_accuracy(part, short)
+
+
+# the labels drawn for the array-against-dict comparison: huge ints stay
+# exact in zero-one loss, and overflow a float in the other two
+_LABELS = [0, 1, 2, 10**400, 10**400 + 1]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_tables_match_the_set_and_dict_forms(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    g, _ = er_graph(rng, n, float(rng.uniform(0.03, 0.3)))
+    seeds = {int(v) for v in rng.choice(n, size=int(rng.integers(1, n)), replace=False)}
+    max_hop = int(rng.integers(1, 7))
+    part = partition_by_distance(g, seeds, max_hop=max_hop)
+    old = oracles.frozenset_partition(part.dist, max_hop)
+    sizes = [len(old["seeds"])] + [len(members) for _, members in old["groups"]]
+    counts = part.counts.tolist()
+    assert counts == sizes[:len(counts)] and not any(sizes[len(counts):])
+    assert part.overflow_count == len(old["overflow"])
+    assert part.unreachable_count == len(old["unreachable"])
+
+    kept = [v for v in range(n) if rng.random() > 0.1]
+    truth = {v: _LABELS[int(rng.integers(len(_LABELS)))] for v in kept}
+    predicted = {v: _LABELS[int(rng.integers(len(_LABELS)))] for v in kept}
+    preds = table(predicted, truth)
+    missing = oracles.dict_missing(predicted, np.flatnonzero(part.dist <= max_hop))
+    if missing:
+        with pytest.raises(CoverageError) as err:
+            subgroup_accuracy(part, preds)
+        assert err.value.missing == tuple(missing)
+    else:
+        rep = subgroup_accuracy(part, preds)
+        want = oracles.dict_subgroup_accuracy(old, predicted, truth)
+        assert (rep.per_hop, rep.train_accuracy, rep.max_discrepancy) == want
+
+    subset = {int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)))}
+    missing = oracles.dict_missing(predicted, subset)
+    reg = table(predicted, truth, mode="regression")
+    for loss, t in (("zero_one", preds), ("absolute", reg), ("squared", reg)):
+        if missing:
+            with pytest.raises(CoverageError) as err:
+                empirical_risk(t, subset, loss)
+            assert err.value.missing == tuple(missing)
+            continue
+        try:
+            want = oracles.dict_risk(predicted, truth, subset, loss)
+        except OverflowError:
+            with pytest.raises(ArgumentError, match=f"{loss} loss"):
+                empirical_risk(t, subset, loss)
+        else:
+            assert empirical_risk(t, subset, loss) == want
+
+
+def test_risk_negative_and_past_the_end_ids_are_uncovered():
+    t = table({0: 1, 2: 1}, {0: 1, 2: 0})
+    assert t.covered.tolist() == [True, False, True]
+    for subset, missing in (({-1, 0}, (-1,)), ({1, 2}, (1,)), ({0, 3, 99}, (3, 99))):
+        with pytest.raises(CoverageError) as err:
+            empirical_risk(t, subset, "zero_one")
+        assert err.value.missing == missing
+    with pytest.raises(ArgumentError):
+        table({-1: 1}, {-1: 1})
+
+
+def test_large_max_hop_costs_nothing_per_hop():
+    # n * max_hop = 2e10: the partition counts, the subgroup accuracy, the
+    # distortion pairs and the hop profile must do no work per empty hop
+    rng = np.random.default_rng(7)
+    n = 20_000
+    parent = (rng.random(n - 1) * np.arange(1, n)).astype(int)
+    edges = list(zip(range(1, n), parent.tolist()))
+    edges += [(int(u), int(v)) for u, v in rng.integers(0, n, size=(2 * n, 2))]
+    g = id_graph(n, edges)
+    emb = EmbeddingTable(rng.normal(size=(n, 4)))
+    labels = {v: int(y) for v, y in enumerate(rng.integers(3, size=n))}
+    preds = table({v: (y + (v % 5 == 0)) % 3 for v, y in labels.items()}, labels)
+
+    t0 = time.perf_counter()
+    part = partition_by_distance(g, rng.choice(n, size=5, replace=False).tolist(),
+                                 max_hop=10**6)
+    counts = part.counts
+    rep = subgroup_accuracy(part, preds)
+    gd, ed = paired_distances_for_distortion(part, emb)
+    rows = hop_embedding_profile(gd, ed)
+    elapsed = time.perf_counter() - t0
+
+    hops = len(counts) - 1
+    assert hops == int(part.dist.max()) and 2 <= hops < 30
+    assert (part.overflow_count, part.unreachable_count) == (0, 0)
+    assert [k for k, _, _ in rep.per_hop] == [r.hop for r in rows] == list(range(1, hops + 1))
+    assert [c for _, _, c in rep.per_hop] == [r.count for r in rows] == counts[1:].tolist()
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +338,16 @@ def test_trial_grouping_block_means():
     assert [g for g, _, _ in rows] == [1, 2, 3]
     assert rows[0][1] == pytest.approx((0.50 + 0.60) / 2)
     assert rows[2][1] == pytest.approx((0.90 + 0.95) / 2)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_trial_grouping_matches_the_block_loop(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 40))
+    trials = [(float(d), float(a)) for d, a in
+              zip(rng.integers(0, 5, size=count), rng.random(count))]
+    group_count = int(rng.integers(1, count + 1))
+    assert trial_grouping(trials, group_count) == oracles.trial_blocks(trials, group_count)
 
 
 def test_trial_grouping_remainder_goes_last():

@@ -99,35 +99,43 @@ def test_group_distance_shrinks_with_larger_target(seed):
 def test_partition_path_example():
     g = path_graph(5)
     p = partition_by_distance(g, {0}, max_hop=3)
-    assert p.seed_set == frozenset({0})
-    assert p.group(1) == frozenset({1})
-    assert p.group(2) == frozenset({2})
-    assert p.group(3) == frozenset({3})
-    assert p.overflow == frozenset({4})
-    assert p.unreachable == frozenset()
+    assert p.counts.tolist() == [1, 1, 1, 1]
+    assert p.dist.tolist() == [0, 1, 2, 3, 4]
+    assert p.grouped.tolist() == [1, 2, 3]
+    assert (p.overflow_count, p.unreachable_count) == (1, 0)
     assert p.max_hop == 3
 
 
 def test_partition_all_seeds():
     g = path_graph(4)
     p = partition_by_distance(g, set(range(4)), max_hop=5)
-    assert all(p.group(k) == frozenset() for k in range(1, 6))
-    assert p.overflow == frozenset() and p.unreachable == frozenset()
+    assert p.counts.tolist() == [4] and len(p.grouped) == 0
+    assert (p.overflow_count, p.unreachable_count) == (0, 0)
 
 
 def test_partition_unreachable_bucket():
     g = build_two_components()
     p = partition_by_distance(g, {0}, max_hop=2)
-    assert p.group(1) == frozenset({1})
-    assert p.unreachable == frozenset({2, 3})
+    assert p.counts.tolist() == [1, 1] and p.grouped.tolist() == [1]
+    assert (p.overflow_count, p.unreachable_count) == (0, 2)
+    assert np.flatnonzero(np.isinf(p.dist)).tolist() == [2, 3]
 
 
 def test_partition_default_max_hop_is_five():
     g = path_graph(9)
     p = partition_by_distance(g, {0})
     assert p.max_hop == 5
-    assert p.group(5) == frozenset({5})
-    assert p.overflow == frozenset({6, 7, 8})
+    assert p.counts.tolist() == [1] * 6 and p.grouped.tolist() == [1, 2, 3, 4, 5]
+    assert p.overflow_count == 3
+
+
+def test_partition_counts_are_sized_by_the_hops_present():
+    g = path_graph(4)
+    p = partition_by_distance(g, {0}, max_hop=10**400)
+    assert p.counts.tolist() == [1, 1, 1, 1]
+    assert (p.overflow_count, p.unreachable_count) == (0, 0)
+    for arr in (p.dist, p.counts, p.within, p.grouped):
+        assert not arr.flags.writeable
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -139,17 +147,13 @@ def test_partition_cells_are_disjoint_and_cover(seed):
     seeds = {int(v) for v in rng.choice(n, size=k, replace=False)}
     max_hop = int(rng.integers(1, 7))
     p = partition_by_distance(g, seeds, max_hop=max_hop)
-    cells = [p.seed_set, p.overflow, p.unreachable]
-    cells.extend(p.group(h) for h in range(1, max_hop + 1))
-    union = set()
-    total = 0
-    for c in cells:
-        union |= c
-        total += len(c)
-    assert union == set(range(n)) and total == n
+    assert int(p.counts.sum()) + p.overflow_count + p.unreachable_count == n
+    assert p.counts[0] == len(seeds) and np.all(p.counts > 0)
     dist = np.min([multi_source_bfs(g, [s]) for s in sorted(seeds)], axis=0)
     for h in range(1, max_hop + 1):
-        assert p.group(h) == frozenset(np.flatnonzero(dist == h).tolist())
+        want = int(np.count_nonzero(dist == h))
+        assert (p.counts[h] if h < len(p.counts) else 0) == want
+    assert p.grouped.tolist() == np.flatnonzero((dist >= 1) & (dist <= max_hop)).tolist()
 
 
 def test_partition_rejects_bad_seeds():
@@ -320,6 +324,17 @@ def test_profile_matches_nested_loop_oracle(seed, mode):
     for r, (_, m, s, _) in zip(rows, want):
         assert r.mean_distance == pytest.approx(m, rel=1e-10)
         assert r.std == pytest.approx(s, rel=1e-10, abs=1e-12)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_profile_rows_equal_the_per_hop_masks(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 60))
+    gd = rng.integers(1, 6, size=count).astype(float)
+    ed = rng.normal(size=count) * 10.0 ** rng.integers(-3, 4, size=count)
+    rows = hop_embedding_profile(gd, ed)
+    assert [(r.hop, r.mean_distance, r.std, r.count) for r in rows] == \
+        oracles.hop_rows_by_mask(gd, ed)
 
 
 def test_profile_requires_coverage():
