@@ -267,6 +267,16 @@ def test_distortion_missing_coverage_reports_tokens(capsys, ws):
     assert code == 4 and "v2" in err
 
 
+def test_distortion_parses_embeddings_before_partitioning(capsys, ws):
+    tmp, graph, seeds = ws
+    emb = tmp / "bad.csv"
+    emb.write_text("node,d0\nv0,0.0,1.0\n")
+    code, out, err = run(capsys, ["distortion", "--graph", str(graph), "--seeds", str(seeds),
+                                  "--embeddings", str(emb), "--max-hop", "0"])
+    assert (code, out) == (3, "")
+    assert err == "parse error: line 2: expected 2 fields, found 3\n"
+
+
 def evaluate_workspace(tmp_path):
     g = id_graph(5, [(i, i + 1) for i in range(4)])
     graph = tmp_path / "graph.txt"
@@ -398,7 +408,7 @@ def test_unknown_seed_token_is_coverage_error(capsys, ws):
     (errors.TopoawareError("other"), 70, "error: other"),
 ])
 def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, prefix):
-    def fail(args):
+    def fail(args, g=None):
         raise error
 
     monkeypatch.setattr(cli, "cmd_synth", fail)

@@ -57,6 +57,9 @@ CASES = {
     "evaluate_max": ([*_EVALUATE, "--aggregator", "max"], 0),
     "evaluate_missing_predictions": (["evaluate", *_INPUTS, "--labels", "labels.csv",
                                       "--predictions", "predictions_partial.csv"], 4),
+    "evaluate_missing_embeddings": (["evaluate", *_INPUTS, "--labels", "labels.csv",
+                                     "--predictions", "predictions.csv",
+                                     "--embeddings", "embeddings_partial.csv"], 4),
     "embed_features": (["embed", "--graph", "graph.txt", "--features", "embeddings.csv",
                         "--layers", "1"], 0),
     "embed_one_hot": (["embed", "--graph", "small.txt"], 0),
