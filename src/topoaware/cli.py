@@ -23,10 +23,10 @@ from .ingest import (Report, jsonable, parse_edge_list, parse_label_table,
                      parse_token_list, parse_vector_table, resolve_labels,
                      resolve_tokens, write_edge_list, write_label_table,
                      write_report, write_token_list, write_vector_table)
-from .metrics import (estimate_distortion, hop_embedding_profile,
+from .metrics import (DEFAULT_MAX_HOP, estimate_distortion, hop_embedding_profile,
                       paired_distances_for_distortion, partition_by_distance)
 from .sampling import baseline_select, coverage_sampling, kcenter_greedy
-from .verify import run_verify
+from .verify import CHECK_NAMES, run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,19 +59,8 @@ def _read(path: str) -> str:
                          line_number=data.count(b"\n", 0, exc.start) + 1) from None
 
 
-def _load_graph(path: str) -> Graph:
-    return build_graph(parse_edge_list(_read(path)))
-
-
 def _load_seeds(path: str, g: Graph) -> list:
     return resolve_tokens(parse_token_list(_read(path)), g)
-
-
-def _tokenize_coverage(exc: CoverageError, g: Graph) -> CoverageError:
-    if exc.kind != "id":
-        return exc
-    tokens = tuple(g.tokens[int(v)] for v in exc.missing)
-    return CoverageError(exc.base_message, missing=tokens, kind="token")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -103,6 +92,12 @@ def _resolve_k(args, n: int) -> tuple[int, bool]:
     raise ArgumentError("one of --k or --fraction is required")
 
 
+def _estimate(args, part, emb):
+    """The distortion pairs of `part` under `emb`, and their estimate."""
+    gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
+    return gd, ed, estimate_distortion(gd, ed, exclude_zero_ratios=args.exclude_degenerate_pairs)
+
+
 def _parse_start(start_args, g: Graph):
     policy, *rest = start_args or ["highest-degree"]
     if policy in ("highest-degree", "random"):
@@ -117,11 +112,11 @@ def _parse_start(start_args, g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the --graph graph (None
+# for synth and verify)
 
 
-def cmd_partition(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_partition(args, g) -> int:
     seeds = _load_seeds(args.seeds, g)
     part = partition_by_distance(g, seeds, args.max_hop)
     counts = part.counts.tolist() + [0] * (part.max_hop + 1 - len(part.counts))
@@ -135,16 +130,11 @@ def cmd_partition(args) -> int:
     return EXIT_OK
 
 
-def cmd_distortion(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_distortion(args, g) -> int:
     seeds = _load_seeds(args.seeds, g)
-    try:
-        emb = parse_vector_table(_read(args.embeddings), g)
-        part = partition_by_distance(g, seeds, args.max_hop)
-        gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
-    except CoverageError as exc:
-        raise _tokenize_coverage(exc, g) from None
-    est = estimate_distortion(gd, ed, exclude_zero_ratios=args.exclude_degenerate_pairs)
+    emb = parse_vector_table(_read(args.embeddings), g)
+    part = partition_by_distance(g, seeds, args.max_hop)
+    gd, ed, est = _estimate(args, part, emb)
     payload = {
         "r": est.r, "alpha": est.alpha, "min_ratio": est.min_ratio,
         "max_ratio": est.max_ratio, "pair_count": est.pair_count,
@@ -159,8 +149,7 @@ def cmd_distortion(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_sample(args, g) -> int:
     k, from_fraction = _resolve_k(args, g.n)
     start_policy_str = None
     if args.method == "kcenter":
@@ -196,8 +185,7 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_evaluate(args, g) -> int:
     seeds = _load_seeds(args.seeds, g)
     truth_table = parse_label_table(_read(args.labels))
     pred_table = parse_label_table(_read(args.predictions))
@@ -210,14 +198,11 @@ def cmd_evaluate(args) -> int:
     preds = make_prediction_table({v: predicted[v] for v in shared},
                                   {v: truth[v] for v in shared}, truth_table.mode)
     part = partition_by_distance(g, seeds, args.max_hop)
-    try:
-        report = subgroup_accuracy(part, preds)
-        evaluated = part.grouped
-        if len(evaluated) == 0:
-            raise ArgumentError("no test vertices within max_hop of the seed set")
-        overall = 1.0 - empirical_risk(preds, evaluated, "zero_one")
-    except CoverageError as exc:
-        raise _tokenize_coverage(exc, g) from None
+    report = subgroup_accuracy(part, preds)
+    evaluated = part.grouped
+    if len(evaluated) == 0:
+        raise ArgumentError("no test vertices within max_hop of the seed set")
+    overall = 1.0 - empirical_risk(preds, evaluated, "zero_one")
     agg = aggregate_distance(part.dist, args.aggregator)
     ordering = None
     if len(report.per_hop) >= 2:
@@ -227,13 +212,7 @@ def cmd_evaluate(args) -> int:
                     "spearman": oc.spearman, "all_ties": oc.all_ties}
     bounds = None
     if args.embeddings is not None:
-        try:
-            emb = parse_vector_table(_read(args.embeddings), g)
-            gd, ed = paired_distances_for_distortion(part, emb, args.point_to_set)
-        except CoverageError as exc:
-            raise _tokenize_coverage(exc, g) from None
-        est = estimate_distortion(gd, ed,
-                                  exclude_zero_ratios=args.exclude_degenerate_pairs)
+        est = _estimate(args, part, parse_vector_table(_read(args.embeddings), g))[2]
         rows = [(k, count, bound_report(1.0 - report.train_accuracy, est, k))
                 for k, _, count in report.per_hop]
         bounds = [{"hop": k, "count": count, "alpha": br.alpha,
@@ -259,19 +238,14 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        X = (one_hot_features(g) if args.features == "one_hot"
-             else parse_vector_table(_read(args.features), g))
-        emb = propagate(g, X, args.layers)
-    except CoverageError as exc:
-        raise _tokenize_coverage(exc, g) from None
-    _emit(write_vector_table(emb, g), args.out)
+def cmd_embed(args, g) -> int:
+    X = (one_hot_features(g) if args.features == "one_hot"
+         else parse_vector_table(_read(args.features), g))
+    _emit(write_vector_table(propagate(g, X, args.layers), g), args.out)
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, g) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     ds = synthetic_sbm(sizes, args.p_in, args.p_out, args.seed)
     _emit(write_edge_list(ds.graph), args.out)
@@ -281,7 +255,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, g) -> int:
     results = run_verify(args.rng_seed, graphs=args.graphs, n_max=args.n_max,
                          inject_fault=args.inject_fault)
     all_passed = all(r.passed for r in results)
@@ -313,79 +287,65 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("structured", "tabular"),
                        default="structured")
 
-    p = sub.add_parser("partition", help="hop-distance subgroup counts")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--max-hop", type=int, default=5, dest="max_hop")
-    common_out(p)
-    p.set_defaults(func=cmd_partition)
+    def graph_command(name, func, summary, seeds=True, **embeddings):
+        """A subcommand over --graph; with `seeds`, also over a seed set and
+        its hop groups; with `embeddings` (the keywords of --embeddings),
+        also over an embedding table and its distortion pairs."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--graph", required=True)
+        if seeds:
+            p.add_argument("--seeds", required=True)
+            p.add_argument("--max-hop", type=int, default=DEFAULT_MAX_HOP)
+        if embeddings:
+            p.add_argument("--embeddings", **embeddings)
+            p.add_argument("--point-to-set", choices=("min", "mean"), default="min")
+            p.add_argument("--exclude-degenerate-pairs", action="store_true")
+        return p
 
-    p = sub.add_parser("distortion", help="distortion estimate and hop profile")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--max-hop", type=int, default=5, dest="max_hop")
-    p.add_argument("--point-to-set", choices=("min", "mean"), default="min",
-                   dest="point_to_set")
-    p.add_argument("--exclude-degenerate-pairs", action="store_true",
-                   dest="exclude_degenerate_pairs")
-    common_out(p)
-    p.set_defaults(func=cmd_distortion)
+    common_out(graph_command("partition", cmd_partition, "hop-distance subgroup counts"))
+    common_out(graph_command("distortion", cmd_distortion,
+                             "distortion estimate and hop profile", required=True))
 
-    p = sub.add_parser("sample", help="seed selection")
-    p.add_argument("--graph", required=True)
+    p = graph_command("sample", cmd_sample, "seed selection", seeds=False)
     p.add_argument("--method", choices=METHOD_CHOICES, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--start", nargs="+", default=None,
                    metavar=("highest-degree|random|vertex", "TOKEN"))
     p.add_argument("--seed", type=int, default=None, dest="rng_seed", help="rng seed")
-    p.add_argument("--seeds-out", default=None, dest="seeds_out",
+    p.add_argument("--seeds-out", default=None,
                    help="also write the seed tokens, one per line")
     common_out(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("evaluate", help="per-subgroup accuracy and discrepancy")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--seeds", required=True)
+    p = graph_command("evaluate", cmd_evaluate, "per-subgroup accuracy and discrepancy",
+                      default=None, help="optional; enables the distortion bound rows")
     p.add_argument("--labels", required=True, help="ground-truth label table")
     p.add_argument("--predictions", required=True, help="predicted label table")
-    p.add_argument("--embeddings", default=None,
-                   help="optional; enables the distortion bound rows")
-    p.add_argument("--max-hop", type=int, default=5, dest="max_hop")
     p.add_argument("--aggregator", choices=("max", "mean"), default="mean")
-    p.add_argument("--point-to-set", choices=("min", "mean"), default="min",
-                   dest="point_to_set")
-    p.add_argument("--exclude-degenerate-pairs", action="store_true",
-                   dest="exclude_degenerate_pairs")
-    p.add_argument("--bound-constant", type=float, default=1.0,
-                   dest="bound_constant")
+    p.add_argument("--bound-constant", type=float, default=1.0)
     common_out(p)
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("embed", help="toy mean-aggregation propagator")
-    p.add_argument("--graph", required=True)
+    p = graph_command("embed", cmd_embed, "toy mean-aggregation propagator", seeds=False)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--features", default="one_hot",
                    help='"one_hot" or a feature table path')
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("synth", help="stochastic block model generator")
     p.add_argument("--sizes", required=True, help="comma-separated block sizes")
-    p.add_argument("--p-in", type=float, required=True, dest="p_in")
-    p.add_argument("--p-out", type=float, required=True, dest="p_out")
+    p.add_argument("--p-in", type=float, required=True)
+    p.add_argument("--p-out", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None, help="edge-list path (default stdout)")
-    p.add_argument("--labels-out", default=None, dest="labels_out")
+    p.add_argument("--labels-out", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("verify", help="built-in dual-route self-checks")
     p.add_argument("--graphs", type=int, default=50)
-    p.add_argument("--n-max", type=int, default=30, dest="n_max")
+    p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--seed", type=int, required=True, dest="rng_seed")
-    p.add_argument("--inject-fault", choices=("distance", "greedy", "distortion"),
-                   default=None, dest="inject_fault")
+    p.add_argument("--inject-fault", choices=CHECK_NAMES, default=None)
     common_out(p)
     p.set_defaults(func=cmd_verify)
 
@@ -398,9 +358,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    g = None
     try:
-        return args.func(args)
+        if "graph" in vars(args):
+            g = build_graph(parse_edge_list(_read(args.graph)))
+        return args.func(args, g)
     except TopoawareError as exc:
+        if isinstance(exc, CoverageError) and exc.kind == "id" and g is not None:
+            # the library names dense ids; the user knows the graph's tokens
+            exc = CoverageError(exc.base_message, kind="token",
+                                missing=tuple(g.tokens[int(v)] for v in exc.missing))
         prefix, code = next((p, c) for cls, p, c in _ERRORS if isinstance(exc, cls))
         sys.stderr.write(f"{prefix}: {exc}\n")
         return code
