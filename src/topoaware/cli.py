@@ -364,7 +364,7 @@ def main(argv=None) -> int:
             g = build_graph(parse_edge_list(_read(args.graph)))
         return args.func(args, g)
     except TopoawareError as exc:
-        if isinstance(exc, CoverageError) and exc.kind == "id" and g is not None:
+        if isinstance(exc, CoverageError) and exc.kind == "id":
             # the library names dense ids; the user knows the graph's tokens
             exc = CoverageError(exc.base_message, kind="token",
                                 missing=tuple(g.tokens[int(v)] for v in exc.missing))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, build_graph, degrees
+from .graph import Graph, build_graph, degrees, seeded_rng
 from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
 ONE_HOT_MAX_N = 5000  # one n x n float64 copy is 200 MB at this size
@@ -52,7 +52,8 @@ def propagate(g: Graph, X: EmbeddingTable, layers: int) -> EmbeddingTable:
 def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticDataset:
     """Stochastic block model: intra-block edges with probability p_in,
     inter-block with p_out; labels are block ids; tokens are v0..v{n-1} in id
-    order (isolated vertices included)."""
+    order (isolated vertices included). Memory is O(n + m): the pairs are
+    drawn one row at a time."""
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ArgumentError("sizes must be a non-empty list of positive integers")
@@ -61,14 +62,16 @@ def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticD
             f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    iu, ju = np.triu_indices(n, k=1)
-    p = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(len(iu)) < p
+    rng = seeded_rng(rng_seed)
     # leading self-loop pairs pin the token order to 0..n-1 and register
     # isolated vertices; build_graph drops the loops
     pairs = [(f"v{i}", f"v{i}") for i in range(n)]
-    pairs.extend((f"v{int(u)}", f"v{int(v)}") for u, v in zip(iu[keep], ju[keep]))
+    for i in range(n - 1):
+        # one draw per pair (i, j > i); PCG64 gives the same doubles in
+        # pieces as in one call over all pairs in row-major order
+        js = np.arange(i + 1, n)
+        js = js[rng.random(n - 1 - i) < np.where(labels[js] == labels[i], p_in, p_out)]
+        pairs.extend((f"v{i}", f"v{j}") for j in js.tolist())
     graph = build_graph(pairs)
     return SyntheticDataset(graph=graph, labels=labels, block_count=len(sizes),
                             generator_params=(tuple(sizes), float(p_in), float(p_out),
@@ -90,8 +93,5 @@ def lipschitz_labels(emb: EmbeddingTable, anchors, noise: float = 0.0,
         raise ArgumentError("anchor id out of range")
     targets = _point_to_set(emb, np.arange(n), np.asarray(anchor_ids), "min")
     if noise > 0.0:
-        if rng_seed is None:
-            raise ArgumentError("noise > 0 requires rng_seed")
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        targets = targets + noise * rng.standard_normal(n)
+        targets = targets + noise * seeded_rng(rng_seed).standard_normal(n)
     return targets

@@ -28,6 +28,9 @@ class PredictionTable:
 
 
 def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
+    """Predicted and true labels keyed by the same vertex ids. The mask and
+    the code arrays hold one entry per id up to the largest, so a table's
+    memory grows with its largest id, not with its size."""
     if mode not in ("classification", "regression"):
         raise ArgumentError(f"mode must be classification or regression, got {mode!r}")
     pk, tk = set(predicted), set(truth)
@@ -40,7 +43,10 @@ def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
                 if not isinstance(y, (int, np.integer)) or isinstance(y, bool) or y < 0:
                     raise ArgumentError(
                         f"classification labels must be non-negative ints, got {y!r} at {v}")
-    ids = np.array([int(v) for v in pk], dtype=np.intp)
+    try:
+        ids = np.array([int(v) for v in pk], dtype=np.intp)
+    except OverflowError:
+        raise ArgumentError("vertex ids must fit a machine integer") from None
     if np.any(ids < 0):
         raise ArgumentError(f"vertex ids must be non-negative, got {int(ids.min())}")
     covered = np.bincount(ids).astype(bool)

@@ -7,6 +7,7 @@ flows through min/max correctly and arithmetic on it stays inf.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +23,16 @@ CLOSENESS_MAX_N = 10_000  # one sweep per vertex: 27 s at 10k vertices, 50k edge
 
 def is_unreachable(x) -> bool:
     return x == UNREACHABLE
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """The PCG64 generator every random draw in the library comes from. A
+    seed PCG64 rejects is an ArgumentError, and so is None, for which PCG64
+    would draw unreproducible OS entropy."""
+    if seed is not None:
+        with contextlib.suppress(TypeError, ValueError):
+            return np.random.Generator(np.random.PCG64(seed))
+    raise ArgumentError(f"rng seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,13 +24,11 @@ SCHEMA_VERSION = "1"
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-def _lines(text):
+def _lines(text: str) -> list[str]:
     """Lines split at CRLF, CR and LF only (str.splitlines also splits at
     form feeds, U+0085 and more), without the empty piece after a final break."""
-    if isinstance(text, str):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        return lines[:-1] if lines[-1] == "" else lines
-    return [line.rstrip("\n") for line in text]
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _rows(lines, sep, width, noun, start=1):
@@ -250,10 +248,10 @@ def write_report(report: Report, format: str = "structured") -> str:
     raise ArgumentError(f"format must be structured or tabular, got {format!r}")
 
 
-def parse_report(text) -> Report:
+def parse_report(text: str) -> Report:
     """Inverse of the structured writer."""
     try:
-        doc = json.loads(text if isinstance(text, str) else "\n".join(_lines(text)))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid structured report: {exc.msg}",
                          line_number=exc.lineno) from None
@@ -279,8 +277,6 @@ _TABULAR_ROWS = {
                    ("hop", "mean_distance", "std", "count")),
     "seed_selection": ("order\ttoken", "seed_rows", ("order", "token")),
     "evaluation": ("hop\taccuracy\tcount", "per_hop", ("hop", "accuracy", "count")),
-    "trial_table": ("group\tmean_accuracy\tvariance", "groups",
-                    ("group", "mean_accuracy", "variance")),
     "verify": ("check\tstatus", "check_rows", ("check", "status")),
 }
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, BoundsError, CoverageError, DegenerateEmbeddingError
-from .graph import Graph, _hops, multi_source_bfs
+from .graph import Graph, _hops, multi_source_bfs, seeded_rng
 
 DEFAULT_MAX_HOP = 5
 
@@ -230,7 +230,7 @@ def sampled_pair_distances(g: Graph, emb: EmbeddingTable, rng_seed: int,
     covered = np.flatnonzero(emb.covered)
     if len(covered) < 2:
         raise ArgumentError("need at least two covered vertices")
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = seeded_rng(rng_seed)
     gd: list[float] = []
     ed: list[float] = []
     attempts = 0

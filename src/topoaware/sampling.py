@@ -10,12 +10,9 @@ import numpy as np
 
 from .errors import ArgumentError, InternalInvariantError, SizeGuardError
 from .graph import (Graph, _hops, closeness_centrality, degrees, multi_source_bfs, pagerank,
-                    relax)
+                    relax, seeded_rng)
 
 BRUTE_FORCE_MAX_N = 20
-
-METHODS = ("kcenter_greedy", "coverage_sampling", "random", "degree",
-           "centrality", "pagerank", "brute_force")
 
 
 @dataclass(frozen=True)
@@ -80,10 +77,7 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     if start == "highest_degree":
         first, policy = _highest_degree(g), "highest_degree"
     elif start == "random":
-        if rng_seed is None:
-            raise ArgumentError("start='random' requires rng_seed")
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        first, policy = int(rng.integers(g.n)), "random"
+        first, policy = int(seeded_rng(rng_seed).integers(g.n)), "random"
     elif isinstance(start, (int, np.integer)) and not isinstance(start, bool):
         first = int(start)
         if not 0 <= first < g.n:
@@ -106,9 +100,7 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
     distance to the seed set (unreachable weighted as n). Distances are
     kept as in `kcenter_greedy`."""
     k = _check_k(g, k)
-    if rng_seed is None:
-        raise ArgumentError("coverage_sampling requires rng_seed")
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    rng = seeded_rng(rng_seed)
     seeds = [_highest_degree(g)]
     dist = multi_source_bfs(g, seeds)
     for _ in range(k - 1):
@@ -129,10 +121,7 @@ def baseline_select(g: Graph, k: int, method: str,
     centrality, or PageRank score (ties to the lowest id)."""
     k = _check_k(g, k)
     if method == "random":
-        if rng_seed is None:
-            raise ArgumentError("random baseline requires rng_seed")
-        rng = np.random.Generator(np.random.PCG64(rng_seed))
-        seeds = [int(v) for v in rng.choice(g.n, size=k, replace=False)]
+        seeds = [int(v) for v in seeded_rng(rng_seed).choice(g.n, size=k, replace=False)]
         return _finish(g, seeds, multi_source_bfs(g, seeds), "random", rng_seed)
     if method == "degree":
         scores = degrees(g).astype(np.float64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, build_graph, multi_source_bfs
+from .graph import Graph, build_graph, multi_source_bfs, seeded_rng
 from .metrics import estimate_distortion
 from .sampling import BRUTE_FORCE_MAX_N, brute_force_kcenter, kcenter_greedy
 
@@ -175,8 +175,8 @@ def run_verify(rng_seed: int, graphs: int = 50, n_max: int = 30,
     if inject_fault is not None and inject_fault not in CHECK_NAMES:
         raise ArgumentError(
             f"inject-fault must be one of {CHECK_NAMES}, got {inject_fault!r}")
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    sparse_rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
+    rng = seeded_rng(rng_seed)
+    sparse_rng = seeded_rng([rng_seed, 1])
     return [
         check_distance(rng, graphs, n_max, inject=inject_fault == "distance"),
         check_greedy(rng, sparse_rng, graphs, n_max, inject=inject_fault == "greedy"),

@@ -178,6 +178,16 @@ def closeness_from_allpairs(dist_matrix):
 # embedding / propagation
 
 
+def sbm_edges_one_draw(sizes, p_in, p_out, rng_seed):
+    """Block-model id pairs from one uniform draw per pair over all
+    n(n-1)/2 pairs in row-major order (O(n^2) memory)."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    iu, ju = np.triu_indices(len(labels), k=1)
+    p = np.where(labels[iu] == labels[ju], p_in, p_out)
+    keep = np.random.Generator(np.random.PCG64(rng_seed)).random(len(iu)) < p
+    return list(zip(iu[keep].tolist(), ju[keep].tolist()))
+
+
 def dense_propagate(n, edges, X, layers):
     """(D+I)^{-1} (A+I) applied `layers` times to the feature rows."""
     A = np.zeros((n, n))

@@ -417,6 +417,17 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, pr
     assert got == (code, "", prefix + "\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--graph", "GRAPH", "--method", "random", "--k", "3", "--seed", "-1"],
+    ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "-1"],
+    ["verify", "--seed", "-1", "--graphs", "2"],
+])
+def test_negative_seed_is_usage_error(capsys, ws, argv):
+    argv = [str(ws[1]) if a == "GRAPH" else a for a in argv]
+    assert run(capsys, argv) == (2, "", "usage error: rng seed must be a non-negative "
+                                        "integer, got -1\n")
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, [])[0] == 2
 

@@ -142,6 +142,26 @@ def test_sbm_rejects_bad_probabilities():
         synthetic_sbm([0, 3], p_in=0.5, p_out=0.1, rng_seed=0)
 
 
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.floats(0.0, 0.49), st.floats(0.5, 1.0), st.integers(0, 2**32 - 1))
+def test_sbm_matches_one_draw_over_all_pairs(sizes, p_out, p_in, seed):
+    ds = synthetic_sbm(sizes, p_in, p_out, rng_seed=seed)
+    got = [(int(a[1:]), int(b[1:])) for a, b in ds.graph.edge_token_pairs()]
+    assert got == oracles.sbm_edges_one_draw(sizes, p_in, p_out, seed)
+
+
+def test_sbm_memory_is_linear():
+    # the one-draw form holds all 18M pairs of 3 x 2000 vertices (566 MiB)
+    tracemalloc.start()
+    try:
+        ds = synthetic_sbm([2000] * 3, 0.01, 0.0005, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.graph.n == 6000
+    assert peak < 64 << 20
+
+
 def test_sbm_token_order_and_determinism():
     a = synthetic_sbm([4, 4], p_in=0.9, p_out=0.2, rng_seed=11)
     b = synthetic_sbm([4, 4], p_in=0.9, p_out=0.2, rng_seed=11)

@@ -37,6 +37,8 @@ def test_table_requires_matching_keys_and_mode():
         make_prediction_table({0: -1}, {0: 1}, "classification")
     with pytest.raises(ArgumentError):
         make_prediction_table({0: 0.5}, {0: 1}, "classification")
+    with pytest.raises(ArgumentError, match="machine integer"):
+        make_prediction_table({2**70: 1}, {2**70: 1}, "classification")
 
 
 def test_risk_all_correct_and_half():

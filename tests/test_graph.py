@@ -13,11 +13,22 @@ from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardErr
                        UNREACHABLE, build_graph, closeness_centrality,
                        connected_components, degrees, is_unreachable,
                        multi_source_bfs, pagerank)
-from topoaware.graph import CLOSENESS_MAX_N, relax
+from topoaware.graph import CLOSENESS_MAX_N, relax, seeded_rng
 
 
 def path_graph(n):
     return id_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "7", [3, -2]])
+def test_seeded_rng_rejects_what_pcg64_rejects_and_none(seed):
+    with pytest.raises(ArgumentError, match="rng seed"):
+        seeded_rng(seed)
+
+
+def test_seeded_rng_is_pcg64():
+    want = np.random.Generator(np.random.PCG64([4, 1])).random(3)
+    assert np.array_equal(seeded_rng([4, 1]).random(3), want)
 
 
 token_pairs = st.lists(

@@ -407,3 +407,5 @@ def test_sampled_pairs_cap_and_determinism():
     assert np.array_equal(gd1, gd2) and np.array_equal(ed1, ed2)
     assert len(gd1) == 50
     assert np.all(gd1 >= 1) and np.all(ed1 >= 0.0)
+    with pytest.raises(ArgumentError, match="rng seed"):
+        sampled_pair_distances(g, emb, None)
