@@ -22,7 +22,7 @@ from .evaluate import (AggregateDistance, BoundReport, OrderingResult,
                        bound_report, empirical_risk, format_acc_md,
                        make_prediction_table, ordering_check,
                        subgroup_accuracy, trial_grouping)
-from .ingest import (LabelTable, Report, jsonable, parse_edge_list,
+from .ingest import (LabelTable, Report, jsonable, load_graph, parse_edge_list,
                      parse_label_table, parse_report, parse_token_list,
                      parse_vector_table, resolve_labels, resolve_tokens, sig6,
                      write_edge_list, write_label_table, write_report,

@@ -18,8 +18,8 @@ from .evaluate import (aggregate_distance, bound_report, empirical_risk,
                        format_acc_md, make_prediction_table, ordering_check,
                        subgroup_accuracy)
 from .embed import one_hot_features, propagate, synthetic_sbm
-from .graph import Graph, build_graph
-from .ingest import (Report, jsonable, parse_edge_list, parse_label_table,
+from .graph import Graph, seeded_rng
+from .ingest import (Report, jsonable, load_graph, parse_label_table,
                      parse_token_list, parse_vector_table, resolve_labels,
                      resolve_tokens, write_edge_list, write_label_table,
                      write_report, write_token_list, write_vector_table)
@@ -150,6 +150,8 @@ def cmd_distortion(args, g) -> int:
 
 
 def cmd_sample(args, g) -> int:
+    if args.rng_seed is not None:
+        seeded_rng(args.rng_seed)  # the same check for every method, drawing or not
     k, from_fraction = _resolve_k(args, g.n)
     start_policy_str = None
     if args.method == "kcenter":
@@ -361,7 +363,7 @@ def main(argv=None) -> int:
     g = None
     try:
         if "graph" in vars(args):
-            g = build_graph(parse_edge_list(_read(args.graph)))
+            g = load_graph(_read(args.graph))
         return args.func(args, g)
     except TopoawareError as exc:
         if isinstance(exc, CoverageError) and exc.kind == "id":

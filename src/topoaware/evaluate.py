@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import ArgumentError
+from .errors import ArgumentError, SizeGuardError
 from .graph import UNREACHABLE
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
+PREDICTION_MAX_ID = 10**7  # a mask and two codes per id: a 162 MiB peak at this id
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +31,8 @@ class PredictionTable:
 def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
     """Predicted and true labels keyed by the same vertex ids. The mask and
     the code arrays hold one entry per id up to the largest, so a table's
-    memory grows with its largest id, not with its size."""
+    memory grows with its largest id, not with its size; an id above
+    PREDICTION_MAX_ID is a SizeGuardError, raised before they are built."""
     if mode not in ("classification", "regression"):
         raise ArgumentError(f"mode must be classification or regression, got {mode!r}")
     pk, tk = set(predicted), set(truth)
@@ -49,6 +51,9 @@ def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
         raise ArgumentError("vertex ids must fit a machine integer") from None
     if np.any(ids < 0):
         raise ArgumentError(f"vertex ids must be non-negative, got {int(ids.min())}")
+    if ids.max(initial=0) > PREDICTION_MAX_ID:
+        raise SizeGuardError(f"vertex id {int(ids.max())} exceeds the prediction table "
+                             f"limit of {PREDICTION_MAX_ID}")
     covered = np.bincount(ids).astype(bool)
     index: dict = {}  # label value -> code, over both tables
     codes = np.zeros((2, len(covered)), dtype=np.intp)

@@ -103,20 +103,24 @@ def build_graph(edge_tokens) -> Graph:
         flat += (a, b)
     if not flat:
         raise EmptyGraphError("no edges supplied")
+    return _graph_of(flat)
 
-    tokens = tuple(dict.fromkeys(flat))
-    index = dict(zip(tokens, range(len(tokens))))
-    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+
+def _graph_of(flat: list) -> Graph:
+    """The Graph of a non-empty flat token list, read as (token, token)
+    pairs; the one place a Graph's ids and matrix are built."""
+    index: dict[str, int] = {}
+    ids = np.array([index.setdefault(t, len(index)) for t in flat], dtype=np.int64)
     u, v = ids[0::2], ids[1::2]
     keep = u != v
     u, v = u[keep], v[keep]
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    n = len(tokens)
+    n = len(index)
     csr = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     csr.data[:] = 1.0  # duplicate edges were summed
     for arr in (csr.data, csr.indices, csr.indptr):
         arr.setflags(write=False)
-    return Graph(csr=csr, tokens=tokens, token_index=index)
+    return Graph(csr=csr, tokens=tuple(index), token_index=index)
 
 
 def _check_sources(g: Graph, sources) -> np.ndarray:

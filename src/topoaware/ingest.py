@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
-from .graph import Graph, degrees
+from .graph import Graph, _graph_of, build_graph, degrees
 from .metrics import EmbeddingTable
 
 SCHEMA_VERSION = "1"
@@ -34,7 +34,11 @@ def _lines(text: str) -> list[str]:
 def _rows(lines, sep, width, noun, start=1):
     """(line number, fields) for each line that is neither blank nor a '#'
     comment, split on `sep` (None: any whitespace; otherwise each field is
-    stripped). A line without exactly `width` fields is a ParseError."""
+    stripped). A line without exactly `width` fields is a ParseError.
+
+    `load_graph` and `parse_vector_table` read clean input as one buffer and
+    come here when any check fails, so every line-numbered error they raise
+    comes from this loop and the row checks of its callers."""
     for ln, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,6 +58,26 @@ def parse_edge_list(text) -> list:
     """Whitespace-separated token pairs, one per line; '#' comments and blank
     lines skipped. Returns raw pairs (duplicates and self-loops included)."""
     return [(a, b) for _, (a, b) in _rows(_lines(text), None, 2, "tokens")]
+
+
+def _token_stream(text) -> list | None:
+    """All tokens of an edge list in order, when every line is blank or one
+    plain token pair (no '#' comment, no CR line break); otherwise None."""
+    if "#" in text or "\r" in text:
+        return None
+    flat = text.split()
+    if not flat or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+        return None
+    return flat
+
+
+def load_graph(text) -> Graph:
+    """The Graph of an edge-list text, equal to
+    build_graph(parse_edge_list(text)). A clean text is split and interned
+    as one buffer; any other text goes through the line-by-line parser,
+    which raises the ParseError with its line number."""
+    flat = _token_stream(text)
+    return build_graph(parse_edge_list(text)) if flat is None else _graph_of(flat)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -89,9 +113,43 @@ def resolve_tokens(tokens, g: Graph) -> list:
 # vector tables
 
 
+VECTOR_CHUNK_ROWS = 4096  # rows parsed per joined buffer; bounds the field lists
+
+
+def _vector_block(rows, dim: int, g: Graph) -> np.ndarray | None:
+    """The vectors of `rows`, parsed a chunk of rows at a time: each chunk is
+    joined, split on commas and converted by one numpy call (which reads a
+    str as float() does). None when any row is not a plain row of known,
+    unique token and finite values, or holds a '#'."""
+    vectors = np.full((g.n, dim), np.nan)
+    filled = np.zeros(g.n, dtype=bool)
+    for start in range(0, len(rows), VECTOR_CHUNK_ROWS):
+        chunk = rows[start:start + VECTOR_CHUNK_ROWS]
+        joined = ",".join(chunk)
+        if "#" in joined or any(row.count(",") != dim for row in chunk):
+            return None
+        fields = joined.split(",")
+        tokens = map(str.strip, fields[::dim + 1])
+        del fields[::dim + 1]
+        try:
+            ids = np.fromiter(map(g.token_index.__getitem__, tokens), dtype=np.intp,
+                              count=len(chunk))
+            values = np.array(fields, dtype=np.float64).reshape(len(chunk), dim)
+        except (KeyError, ValueError):
+            return None
+        if not np.isfinite(values).all():
+            return None
+        vectors[ids] = values
+        filled[ids] = True
+    # a repeated token fills one row twice
+    return vectors if np.count_nonzero(filled) == len(rows) else None
+
+
 def parse_vector_table(text, g: Graph) -> EmbeddingTable:
     """Comma-separated vector rows under a "node,d0,d1,..." header; vertices
-    without a row get a NaN row."""
+    without a row get a NaN row. Clean rows are parsed a chunk at a time;
+    if any check fails, the row loop reads the table again and raises the
+    error of its first bad line."""
     lines = _lines(text)
     if not lines or not lines[0].strip():
         raise ParseError("missing header", line_number=1)
@@ -99,6 +157,9 @@ def parse_vector_table(text, g: Graph) -> EmbeddingTable:
     if header[0] != "node" or len(header) < 2:
         raise ParseError('header must be "node,d0,d1,..."', line_number=1)
     dim = len(header) - 1
+    vectors = _vector_block(lines[1:], dim, g)
+    if vectors is not None:
+        return EmbeddingTable(vectors)
     vectors = np.full((g.n, dim), np.nan)
     seen: dict[str, int] = {}
     unknown: list[str] = []

@@ -421,6 +421,9 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, error, code, pr
     ["sample", "--graph", "GRAPH", "--method", "random", "--k", "3", "--seed", "-1"],
     ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "-1"],
     ["verify", "--seed", "-1", "--graphs", "2"],
+    # these methods draw nothing, so only the check before dispatch sees the seed
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "3", "--seed", "-1"],
+    ["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "3", "--seed", "-1"],
 ])
 def test_negative_seed_is_usage_error(capsys, ws, argv):
     argv = [str(ws[1]) if a == "GRAPH" else a for a in argv]

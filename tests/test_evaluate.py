@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import er_graph, id_graph
-from topoaware import (ArgumentError, CoverageError, EmbeddingTable, aggregate_distance,
-                       bound_report, empirical_risk, estimate_distortion,
-                       format_acc_md, hop_embedding_profile, make_prediction_table,
+from topoaware import (ArgumentError, CoverageError, EmbeddingTable, SizeGuardError,
+                       aggregate_distance, bound_report, empirical_risk, estimate_distortion,
+                       evaluate, format_acc_md, hop_embedding_profile, make_prediction_table,
                        multi_source_bfs, ordering_check,
                        paired_distances_for_distortion, partition_by_distance,
                        subgroup_accuracy, trial_grouping)
@@ -39,6 +39,16 @@ def test_table_requires_matching_keys_and_mode():
         make_prediction_table({0: 0.5}, {0: 1}, "classification")
     with pytest.raises(ArgumentError, match="machine integer"):
         make_prediction_table({2**70: 1}, {2**70: 1}, "classification")
+
+
+def test_prediction_id_size_guard_fires_before_allocation(monkeypatch):
+    # ids 2**62 and 2**40 escaped as a numpy ValueError and a MemoryError
+    calls = []
+    monkeypatch.setattr(evaluate.np, "bincount", lambda *a, **k: calls.append(a))
+    top = evaluate.PREDICTION_MAX_ID + 1
+    with pytest.raises(SizeGuardError, match=f"vertex id {top} exceeds"):
+        make_prediction_table({0: 1, top: 1}, {0: 1, top: 0}, "classification")
+    assert calls == []
 
 
 def test_risk_all_correct_and_half():

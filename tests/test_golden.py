@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
-from topoaware import build_graph, connected_components, parse_edge_list, sampling
+from topoaware import build_graph, connected_components, ingest, parse_edge_list, sampling
 from topoaware.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -176,6 +176,24 @@ def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
     code, _, err = _run_case(argv, capsys)
     assert code == 0, err
     assert (len(sweeps), len(relaxes)) == (want_sweeps, want_relaxes)
+
+
+@pytest.mark.parametrize("name", ["partition", "distortion_min"])
+def test_clean_inputs_skip_the_row_loop(name, capsys, monkeypatch):
+    # the clean golden graph and table take the whole-buffer reads; the one
+    # ingest._rows call left is the seed list's
+    nouns = []
+    rows = ingest._rows
+
+    def counted_rows(lines, sep, width, noun, start=1):
+        nouns.append(noun)
+        return rows(lines, sep, width, noun, start)
+
+    monkeypatch.setattr(ingest, "_rows", counted_rows)
+    monkeypatch.chdir(GOLDEN)
+    code, _, err = _run_case(CASES[name][0], capsys)
+    assert code == 0, err
+    assert nouns == ["token"]
 
 
 def _case_study():

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from conftest import er_graph, id_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
-                       ParseError, Report, build_graph, jsonable,
-                       parse_edge_list, parse_label_table, parse_report,
-                       parse_token_list, parse_vector_table, propagate,
+                       ParseError, Report, TopoawareError, build_graph, ingest,
+                       jsonable, load_graph, parse_edge_list, parse_label_table,
+                       parse_report, parse_token_list, parse_vector_table, propagate,
                        resolve_labels, resolve_tokens,
                        sig6, write_edge_list, write_label_table, write_report,
                        write_token_list, write_vector_table)
@@ -50,6 +50,106 @@ def test_edge_list_round_trip_random(seed):
     n = int(rng.integers(2, 25))
     g, _ = er_graph(rng, n, 0.15)
     assert build_graph(parse_edge_list(write_edge_list(g))) == g
+
+
+# ---------------------------------------------------------------------------
+# whole-buffer reads against the row loop
+
+# clean lines and fields, then ones the whole-buffer reads must decline or
+# take exactly as the row loop does: comments, blanks, whitespace that is not
+# a line break, wrong field counts, repeats, unknown tokens and values that
+# float() rejects or reads as non-finite
+_EDGE_LINES = ["a b", "b c", "c d", "d a", "a a", " b\td ", "x\x0cy", "١ ٢"]
+_ODD_EDGE_LINES = ["x y\x0c", "x\x85y", "\x85c a", "# note", "a#b c", "c #d", "",
+                   "  ", "\x0c", "a", "a b c"]
+_TOKENS = ["a", "b", " c ", "d\x0c", "e", "f", "g", "h"]
+_ODD_TOKENS = ["zz", "#a", "a#", ""]
+_VALUES = ["1.5", "-0.0", "1_0", " 2 ", "١", "４", "4.9e-324", "3\x0c", "\x854"]
+_ODD_VALUES = ["nan", "1e400", "-inf", "x", "", "0x10", "1__0", "1\x00"]
+_ODD_ROWS = ["", " ", "\x0c", "# c,1,2", "a,1", "a,1,2,3", "a,1,2\x85b,3,4"]
+_BREAKS = ["\n", "\r\n", "\r"]
+
+
+def _outcome(read):
+    """A reader's result, or the class, message, line, token and missing
+    list of its error."""
+    try:
+        return read()
+    except TopoawareError as exc:
+        return (type(exc), str(exc), getattr(exc, "line_number", None),
+                getattr(exc, "token", None), getattr(exc, "missing", None))
+
+
+def _graph_key(g):
+    return g.tokens, g.token_index, g.csr.indptr.tolist(), g.csr.indices.tolist()
+
+
+@st.composite
+def _text(draw, clean, odd):
+    """Lines from `clean`, half the time with one line from `odd` put in,
+    ended by one line break or by a mix; the last break may be left off."""
+    lines = draw(clean)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    brk = draw(st.sampled_from([*_BREAKS, None]))
+    breaks = [brk or draw(st.sampled_from(_BREAKS)) for _ in lines]
+    text = "".join(a + b for a, b in zip(lines, breaks))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+@given(_text(st.lists(st.sampled_from(_EDGE_LINES), max_size=8),
+             st.sampled_from(_ODD_EDGE_LINES)))
+def test_load_graph_equals_the_row_loop(text):
+    fast = _outcome(lambda: _graph_key(load_graph(text)))
+    assert fast == _outcome(lambda: _graph_key(build_graph(parse_edge_list(text))))
+
+
+def test_load_graph_takes_clean_text_whole():
+    assert ingest._token_stream("a b\n\n c\td \nb a") == ["a", "b", "c", "d", "b", "a"]
+    for text in ["", "\n \n", "a b\r\n", "a b\n# c\n", "a b c\n", "a\n"]:
+        assert ingest._token_stream(text) is None, text
+
+
+def _vector_rows(tokens, values):
+    return st.tuples(tokens, values, values).map(",".join)
+
+
+_CLEAN_ROWS = st.lists(_vector_rows(st.sampled_from(_TOKENS), st.sampled_from(_VALUES)),
+                       max_size=8, unique_by=lambda row: row.split(",")[0].strip())
+_ODD_ROW = st.one_of(
+    st.sampled_from(_ODD_ROWS),
+    _vector_rows(st.sampled_from(_TOKENS), st.sampled_from(_VALUES)),  # may repeat a token
+    _vector_rows(st.sampled_from(_ODD_TOKENS), st.sampled_from(_VALUES)),
+    _vector_rows(st.sampled_from(_TOKENS), st.sampled_from(_VALUES + _ODD_VALUES)))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, ingest.VECTOR_CHUNK_ROWS])
+@given(text=_text(_CLEAN_ROWS, _ODD_ROW))
+def test_parse_vector_table_equals_the_row_loop(chunk_rows, text):
+    # "#a" is a vertex, but a row for it is a comment
+    g = build_graph([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h"), ("x", "#a")])
+    text = "node,d0,d1\n" + text
+
+    def read():
+        v = parse_vector_table(text, g).vectors
+        return v.shape, v.view(np.uint64).tolist()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "VECTOR_CHUNK_ROWS", chunk_rows)
+        fast = _outcome(read)
+        mp.setattr(ingest, "_vector_block", lambda rows, dim, g: None)
+        assert fast == _outcome(read)
+
+
+def test_parse_vector_table_takes_clean_rows_whole():
+    g = build_graph([("a", "b"), ("c", "d"), ("x", "#a")])
+    want = np.full((g.n, 2), np.nan)
+    want[0], want[3] = [10.0, -0.0], [1.0, 2.0]
+    block = ingest._vector_block([" a , 1_0,-0.0", "d,١, 2 "], 2, g)
+    assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+    for rows in [["a,1"], ["a,1,2,3"], ["a,1,2", "a,3,4"], ["zz,1,2"], ["a,nan,1"],
+                 ["a,1e400,1"], ["#a,1,2"], ["a,x,1"], [""]]:
+        assert ingest._vector_block(rows, 2, g) is None, rows
 
 
 # ---------------------------------------------------------------------------
