@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, build_graph, degrees, seeded_rng
+from .graph import Graph, _id_graph, degrees, seeded_rng
 from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
 ONE_HOT_MAX_N = 5000  # one n x n float64 copy is 200 MB at this size
@@ -63,16 +63,14 @@ def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticD
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     rng = seeded_rng(rng_seed)
-    # leading self-loop pairs pin the token order to 0..n-1 and register
-    # isolated vertices; build_graph drops the loops
-    pairs = [(f"v{i}", f"v{i}") for i in range(n)]
-    for i in range(n - 1):
+    partners = []
+    for i in range(n):
         # one draw per pair (i, j > i); PCG64 gives the same doubles in
         # pieces as in one call over all pairs in row-major order
         js = np.arange(i + 1, n)
-        js = js[rng.random(n - 1 - i) < np.where(labels[js] == labels[i], p_in, p_out)]
-        pairs.extend((f"v{i}", f"v{j}") for j in js.tolist())
-    graph = build_graph(pairs)
+        partners.append(js[rng.random(n - 1 - i) < np.where(labels[js] == labels[i], p_in, p_out)])
+    u = np.repeat(np.arange(n), [len(js) for js in partners])
+    graph = _id_graph(n, u, np.concatenate(partners))
     return SyntheticDataset(graph=graph, labels=labels, block_count=len(sizes),
                             generator_params=(tuple(sizes), float(p_in), float(p_out),
                                               int(rng_seed)))

@@ -40,9 +40,9 @@ class Graph:
     """Undirected simple graph as one read-only symmetric scipy CSR matrix
     with every stored entry 1.0.
 
-    The neighbors of v are neighbors[offsets[v]:offsets[v+1]] (the matrix's
-    indices and indptr), sorted ascending. `tokens[i]` is the external name
-    of dense id i; ids are assigned in first-seen order.
+    The neighbors of v are csr.indices[csr.indptr[v]:csr.indptr[v+1]],
+    sorted ascending. `tokens[i]` is the external name of dense id i; ids
+    are assigned in first-seen order.
     """
 
     csr: sp.csr_matrix
@@ -57,22 +57,14 @@ class Graph:
     def m(self) -> int:
         return self.csr.nnz // 2
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return self.csr.indptr
-
-    @property
-    def neighbors(self) -> np.ndarray:
-        return self.csr.indices
-
     def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
+        return self.csr.indices[self.csr.indptr[v] : self.csr.indptr[v + 1]]
 
     def edge_token_pairs(self):
         """Edges as (token, token) with u < v in dense-id order."""
-        us = np.repeat(np.arange(self.n), np.diff(self.offsets))
-        upper = us < self.neighbors
-        for u, v in zip(us[upper].tolist(), self.neighbors[upper].tolist()):
+        us = np.repeat(np.arange(self.n), degrees(self))
+        upper = us < self.csr.indices
+        for u, v in zip(us[upper].tolist(), self.csr.indices[upper].tolist()):
             yield self.tokens[u], self.tokens[v]
 
     def __eq__(self, other) -> bool:
@@ -108,10 +100,23 @@ def build_graph(edge_tokens) -> Graph:
 
 def _graph_of(flat: list) -> Graph:
     """The Graph of a non-empty flat token list, read as (token, token)
-    pairs; the one place a Graph's ids and matrix are built."""
+    pairs; ids follow first-seen order."""
     index: dict[str, int] = {}
     ids = np.array([index.setdefault(t, len(index)) for t in flat], dtype=np.int64)
-    u, v = ids[0::2], ids[1::2]
+    return _csr_graph(index, ids[0::2], ids[1::2])
+
+
+def _id_graph(n: int, u, v) -> Graph:
+    """The Graph over ids 0..n-1 (token "v{i}" for id i) of id pairs
+    (u[j], v[j]); every id gets a vertex, paired or not."""
+    return _csr_graph({f"v{i}": i for i in range(n)}, u, v)
+
+
+def _csr_graph(index: dict, u, v) -> Graph:
+    """The one place a Graph's matrix is built, from the token -> id map and
+    two id arrays: self-loops are dropped, a repeated pair is kept once and
+    every array is read-only."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     keep = u != v
     u, v = u[keep], v[keep]
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
@@ -163,7 +168,7 @@ def relax(g: Graph, dist: np.ndarray, source) -> None:
     if dist[s] == 0:
         return
     dist[s] = 0.0
-    indptr, indices = g.offsets, g.neighbors
+    indptr, indices = g.csr.indptr, g.csr.indices
     budget, work = g.n + g.csr.nnz, 0
     frontier, level = np.array([s]), 0
     while frontier.size:
@@ -191,7 +196,7 @@ def _hops(x) -> float:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    return np.diff(g.offsets)
+    return np.diff(g.csr.indptr)
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10,
     if max_iter < 1:
         raise ArgumentError(f"max_iter must be >= 1, got {max_iter}")
     n = g.n
-    deg = np.diff(g.offsets).astype(np.float64)
+    deg = degrees(g).astype(np.float64)
     dangling = deg == 0.0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     x = np.full(n, 1.0 / n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, build_graph, multi_source_bfs, seeded_rng
+from .graph import Graph, _id_graph, degrees, multi_source_bfs, seeded_rng
 from .metrics import estimate_distortion
 from .sampling import BRUTE_FORCE_MAX_N, brute_force_kcenter, kcenter_greedy
 
@@ -47,20 +47,13 @@ def _reference_bfs(adj, source):
     return np.asarray(dist)
 
 
-def _id_graph(n: int, us, vs) -> Graph:
-    """Graph over ids 0..n-1 (token "v{i}" for id i) from id pairs."""
-    pairs = [(f"v{i}", f"v{i}") for i in range(n)]
-    pairs.extend((f"v{u}", f"v{v}") for u, v in zip(us, vs))
-    return build_graph(pairs)
-
-
 def _random_graph(rng, n, p, connected=False) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < p
-    us, vs = iu[keep].tolist(), ju[keep].tolist()
+    us, vs = iu[keep], ju[keep]
     if connected:
-        perm = rng.permutation(n).tolist()
-        us, vs = us + perm[:-1], vs + perm[1:]
+        perm = rng.permutation(n)
+        us, vs = np.concatenate([us, perm[:-1]]), np.concatenate([vs, perm[1:]])
     return _id_graph(n, us, vs)
 
 
@@ -72,15 +65,15 @@ def _sparse_connected_graph(rng, n: int) -> Graph:
     """A random recursive tree (vertex i joins a uniform earlier vertex)
     plus 2n uniform random pairs: connected, sparse, low diameter."""
     parent = (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)
-    us, vs = rng.integers(0, n, size=(2, 2 * n)).tolist()
-    return _id_graph(n, [*range(1, n), *us], [*parent.tolist(), *vs])
+    us, vs = rng.integers(0, n, size=(2, 2 * n))
+    return _id_graph(n, np.concatenate([np.arange(1, n), us]), np.concatenate([parent, vs]))
 
 
 def _reference_farthest_first(g: Graph, k: int, sweep) -> list[int]:
     """Farthest-first seeds from the highest-degree vertex, with one
     `sweep(source)` distance array and a minimum per seed; ties go to the
     lowest id."""
-    seeds = [int(np.argmax(np.diff(g.offsets)))]
+    seeds = [int(np.argmax(degrees(g)))]
     dist = sweep(seeds[0])
     for _ in range(k - 1):
         seeds.append(int(np.argmax(dist)))

@@ -120,7 +120,7 @@ def test_graph_is_immutable():
     with pytest.raises(Exception):
         g.n = 5
     with pytest.raises(ValueError):
-        g.neighbors[0] = 9
+        g.csr.indices[0] = 9
 
 
 # ---------------------------------------------------------------------------
