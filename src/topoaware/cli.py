@@ -13,7 +13,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import (ArgumentError, CoverageError, DegenerateEmbeddingError,
-                     InternalInvariantError, ParseError, TopoawareError)
+                     InternalInvariantError, ParseError, SizeGuardError, TopoawareError)
 from .evaluate import (aggregate_distance, bound_report, empirical_risk,
                        format_acc_md, make_prediction_table, ordering_check,
                        subgroup_accuracy)
@@ -44,6 +44,7 @@ _ERRORS = ((ParseError, "parse error", EXIT_PARSE),
            (TopoawareError, "error", EXIT_INTERNAL))
 
 METHOD_CHOICES = ("kcenter", "coverage", "random", "degree", "centrality", "pagerank")
+PARTITION_MAX_HOP = 100_000  # one report row per hop: 1.1 s and 202 MB at this size
 RANDOMIZED_METHODS = ("coverage", "random")
 
 
@@ -119,6 +120,8 @@ def _parse_start(start_args, g: Graph):
 def cmd_partition(args, g) -> int:
     seeds = _load_seeds(args.seeds, g)
     part = partition_by_distance(g, seeds, args.max_hop)
+    if part.max_hop > PARTITION_MAX_HOP:
+        raise SizeGuardError(f"max_hop exceeds the {PARTITION_MAX_HOP}-row limit of the report")
     counts = part.counts.tolist() + [0] * (part.max_hop + 1 - len(part.counts))
     payload = {
         "seed_count": counts[0],

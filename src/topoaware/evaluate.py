@@ -9,7 +9,6 @@ import numpy as np
 from scipy import stats
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import UNREACHABLE
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
@@ -130,7 +129,7 @@ class BoundReport:
 
 def bound_report(train_risk: float, distortion: DistortionEstimate,
                  Dsi) -> BoundReport:
-    if Dsi == UNREACHABLE or not np.isfinite(float(Dsi)):
+    if not np.isfinite(float(Dsi)):
         raise ArgumentError("group distance is unreachable; the bound is vacuous")
     d = float(Dsi)
     if d < 0:

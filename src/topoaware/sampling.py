@@ -105,7 +105,6 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
     dist = multi_source_bfs(g, seeds)
     for _ in range(k - 1):
         weights = np.where(np.isfinite(dist), dist, float(g.n))
-        weights[seeds] = 0.0
         total = float(weights.sum())
         if total <= 0.0:
             raise InternalInvariantError("all candidate weights are zero")

@@ -22,6 +22,10 @@ def id_graph(n, edges):
     return build_graph(pairs)
 
 
+def path_graph(n):
+    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
 def er_graph(rng, n, p, connected=False):
     """Seeded random graph plus its id edge list (for the oracles)."""
     edges = set()

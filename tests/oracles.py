@@ -188,6 +188,16 @@ def sbm_edges_one_draw(sizes, p_in, p_out, rng_seed):
     return list(zip(iu[keep].tolist(), ju[keep].tolist()))
 
 
+def vector_table_text(tokens, vectors):
+    """The vector table of the all-finite rows, one `repr(float(x))` per
+    element."""
+    out = ["node," + ",".join(f"d{i}" for i in range(vectors.shape[1]))]
+    for token, row in zip(tokens, vectors):
+        if np.isfinite(row).all():
+            out.append(token + "," + ",".join(repr(float(x)) for x in row))
+    return "\n".join(out) + "\n"
+
+
 def dense_propagate(n, edges, X, layers):
     """(D+I)^{-1} (A+I) applied `layers` times to the feature rows."""
     A = np.zeros((n, n))

@@ -64,6 +64,19 @@ def test_partition_every_vertex_seeded(capsys, ws):
     assert all(row["count"] == 0 for row in doc["payload"]["hop_counts"])
 
 
+@pytest.mark.parametrize("max_hop, message", [
+    (0, "max_hop must be positive"),
+    (cli.PARTITION_MAX_HOP + 1, f"{cli.PARTITION_MAX_HOP}-row limit"),
+    (10**400, f"{cli.PARTITION_MAX_HOP}-row limit"),
+])
+def test_partition_max_hop_out_of_range_is_usage_error(capsys, ws, max_hop, message):
+    _, graph, seeds = ws
+    code, out, err = run(capsys, ["partition", "--graph", str(graph),
+                                  "--seeds", str(seeds), "--max-hop", str(max_hop)])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_partition_tabular_format(capsys, ws):
     _, graph, seeds = ws
     code, out, _ = run(capsys, ["partition", "--graph", str(graph),

@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import er_graph, id_graph
+from conftest import er_graph, id_graph, path_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
                        SizeGuardError, connected_components, lipschitz_labels,
                        one_hot_features, propagate, synthetic_sbm)
 from topoaware.embed import ONE_HOT_MAX_N
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +125,14 @@ def test_sbm_single_block_is_complete():
     ds = synthetic_sbm([10], p_in=1.0, p_out=0.0, rng_seed=5)
     assert ds.graph.m == 45
     assert ds.block_count == 1
+
+
+@pytest.mark.parametrize("sizes", [[1], [1, 1, 1]])
+def test_sbm_without_edges_builds(sizes):
+    # blocks of one vertex have no inside pairs, and p_out = 0 draws no other
+    g = synthetic_sbm(sizes, p_in=1.0, p_out=0.0, rng_seed=0).graph
+    assert (g.n, g.m) == (len(sizes), 0)
+    assert list(g.tokens) == [f"v{i}" for i in range(len(sizes))]
 
 
 def test_sbm_rejects_bad_probabilities():

@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import er_graph, id_graph
+from conftest import er_graph, id_graph, path_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable, SizeGuardError,
                        aggregate_distance, bound_report, empirical_risk, estimate_distortion,
                        evaluate, format_acc_md, hop_embedding_profile, make_prediction_table,
                        multi_source_bfs, ordering_check,
                        paired_distances_for_distortion, partition_by_distance,
                        subgroup_accuracy, trial_grouping)
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def table(predicted, truth, mode="classification"):

@@ -4,20 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, tied_graph
+from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, path_graph, tied_graph
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
                        UNREACHABLE, build_graph, closeness_centrality,
                        connected_components, degrees, is_unreachable,
                        multi_source_bfs, pagerank)
-from topoaware.graph import CLOSENESS_MAX_N, relax, seeded_rng
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
+from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
 @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", [3, -2]])
@@ -121,6 +117,22 @@ def test_graph_is_immutable():
         g.n = 5
     with pytest.raises(ValueError):
         g.csr.indices[0] = 9
+
+
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))))
+@example((1, []))
+@example((1, [(0, 0)]))
+@example((5, [(0, 1), (1, 0), (2, 2), (0, 1), (3, 1)]))
+def test_id_graph_matches_build_graph_of_token_pairs(case):
+    n, pairs = case
+    got = _id_graph(n, [a for a, _ in pairs], [b for _, b in pairs])
+    want = id_graph(n, pairs)
+    assert got.tokens == want.tokens and got.token_index == want.token_index
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.csr, name), getattr(want.csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import er_graph, id_graph
+import oracles
+from conftest import er_graph, path_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
                        ParseError, Report, TopoawareError, build_graph, ingest,
                        jsonable, load_graph, parse_edge_list, parse_label_table,
@@ -14,10 +15,6 @@ from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
                        resolve_labels, resolve_tokens,
                        sig6, write_edge_list, write_label_table, write_report,
                        write_token_list, write_vector_table)
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +238,27 @@ def test_vector_table_round_trip_random(seed):
     back = parse_vector_table(write_vector_table(emb, g), g)
     assert np.array_equal(back.covered, emb.covered)
     assert np.array_equal(back.vectors[ids], emb.vectors[ids])
+
+
+# finite values per dtype with signed zeros, subnormals and the largest
+# magnitudes, whose shortest round-trip reprs are the least regular
+EDGE_FLOATS = {np.float64: [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                            1e308, -1.7976931348623157e308, 0.1],
+               np.float32: [0.0, -0.0, 1e-45, -1e-40, 1.1754944e-38, 3.4e38, -1e38, 0.1]}
+
+
+@given(st.data())
+def test_vector_table_writer_matches_per_element_repr(data):
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    width = 64 if dtype is np.float64 else 32
+    n, dim = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    values = (st.floats(allow_nan=False, allow_infinity=False, width=width)
+              | st.sampled_from(EDGE_FLOATS[dtype]))
+    vec = np.array(data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                      min_size=n, max_size=n)), dtype=dtype)
+    vec[data.draw(st.lists(st.booleans(), min_size=n, max_size=n))] = np.nan
+    g = path_graph(n)
+    assert write_vector_table(EmbeddingTable(vec), g) == oracles.vector_table_text(g.tokens, vec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import er_graph, id_graph
+from conftest import er_graph, id_graph, path_graph
 from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
                        EmbeddingTable, build_graph,
                        estimate_distortion, group_distance,
@@ -15,10 +15,6 @@ from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
                        multi_source_bfs, paired_distances_for_distortion,
                        partition_by_distance, sampled_pair_distances)
 from topoaware.metrics import _POINT_TO_SET_ELEMENTS, _point_to_set
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def line_embedding(g):

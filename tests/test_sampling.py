@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import LEVEL_CHARGES, er_graph, grid_graph, id_graph, level_charge, tied_graph
+from conftest import (LEVEL_CHARGES, er_graph, grid_graph, id_graph, level_charge, path_graph,
+                      tied_graph)
 from topoaware import (ArgumentError, SizeGuardError, baseline_select,
                        brute_force_kcenter, connected_components,
                        coverage_sampling, is_unreachable, kcenter_greedy,
                        kcenter_objective, multi_source_bfs)
-
-
-def path_graph(n):
-    return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star_graph(leaves):
