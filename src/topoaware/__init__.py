@@ -7,12 +7,11 @@ from .errors import (ArgumentError, BoundsError, CoverageError,
                      TopoawareError)
 from .graph import (UNREACHABLE, Graph, PageRankResult, build_graph,
                     closeness_centrality, connected_components, degrees,
-                    is_unreachable, multi_source_bfs, pagerank)
+                    multi_source_bfs, pagerank)
 from .metrics import (DEFAULT_MAX_HOP, DistortionEstimate, EmbeddingTable,
                       ProfileRow, SubgroupPartition, estimate_distortion,
                       group_distance, group_distance_point, hop_embedding_profile,
-                      paired_distances_for_distortion, partition_by_distance,
-                      sampled_pair_distances)
+                      paired_distances_for_distortion, partition_by_distance)
 from .sampling import (SeedSelection, baseline_select, brute_force_kcenter,
                        coverage_sampling, kcenter_greedy, kcenter_objective)
 from .embed import (SyntheticDataset, lipschitz_labels, one_hot_features,

@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ArgumentError, SizeGuardError
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
@@ -148,6 +147,15 @@ class OrderingResult:
     all_ties: bool
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, tied values sharing their mean rank; NaN ranks as NaN
+    (scipy.stats.rankdata's "average" method, with spearmanr's NaN result)."""
+    values = np.asarray(values, dtype=np.float64)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return np.where(np.isnan(values), np.nan, ranks)
+
+
 def ordering_check(subgroup_risks) -> OrderingResult:
     rows = [(int(k), float(r)) for k, r in subgroup_risks]
     if len(rows) < 2:
@@ -160,7 +168,9 @@ def ordering_check(subgroup_risks) -> OrderingResult:
                         if hi > hj and ri < rj)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # equal risks give nan: all ties
-        rho = float(stats.spearmanr(hops, risks).statistic)
+        # columns, as scipy.stats.spearmanr stacks them: rows differ in the last ulp
+        ranks = np.column_stack([_average_ranks(hops), _average_ranks(risks)])
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     all_ties = not np.isfinite(rho)
     return OrderingResult(violations=tuple(violations), spearman=0.0 if all_ties else rho,
                           all_ties=all_ties)

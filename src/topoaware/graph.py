@@ -21,10 +21,6 @@ UNREACHABLE = math.inf
 CLOSENESS_MAX_N = 10_000  # one sweep per vertex: 27 s at 10k vertices, 50k edges
 
 
-def is_unreachable(x) -> bool:
-    return x == UNREACHABLE
-
-
 def seeded_rng(seed) -> np.random.Generator:
     """The PCG64 generator every random draw in the library comes from. A
     seed PCG64 rejects is an ArgumentError, and so is None, for which PCG64

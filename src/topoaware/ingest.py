@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
-from .graph import Graph, _graph_of, build_graph, degrees
+from .graph import Graph, _csr_graph, _graph_of, build_graph, degrees
 from .metrics import EmbeddingTable
 
 SCHEMA_VERSION = "1"
@@ -71,11 +71,52 @@ def _token_stream(text) -> list | None:
     return flat
 
 
+# per byte, 1 unless str.split() splits at it (\t \n \v \f \r, \x1c-\x1f, space)
+_TOKEN_BYTE = bytes(b not in (9, 10, 11, 12, 13, 28, 29, 30, 31, 32) for b in range(256))
+# masks that keep the first k = 0..8 bytes of a big-endian uint64
+_PREFIX_MASK = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+
+
+def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
+    """(token -> id map, the id of every token in order) of a clean ASCII
+    edge list whose tokens are at most 8 bytes, with ids in first-seen
+    order; otherwise None. Each token is one exact uint64 key (its bytes,
+    zero-padded; a NUL would pad "a" to "a\\x00", so text with one is
+    declined), and one sort groups equal keys."""
+    if not text.isascii() or "#" in text or "\r" in text or "\x00" in text:
+        return None
+    raw = text.encode("ascii")
+    inside = np.frombuffer((b" %b " % raw).translate(_TOKEN_BYTE), dtype=np.int8)
+    starts, ends = np.flatnonzero(np.diff(inside)).reshape(-1, 2).T
+    size = ends - starts
+    if not starts.size or starts.size % 2 or size.max() > 8:
+        return None
+    line = np.searchsorted(np.flatnonzero(np.frombuffer(raw, np.uint8) == 10), starts)
+    if (line[0::2] != line[1::2]).any() or (np.diff(line[0::2]) <= 0).any():
+        return None  # a line without 0 or 2 tokens
+    at = np.ndarray(len(raw), dtype=">u8", buffer=raw + bytes(8), strides=(1,))
+    keys = at[starts].astype(np.uint64) & _PREFIX_MASK[size]
+    order = np.argsort(keys)
+    keys = keys[order]
+    group = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    first = np.minimum.reduceat(order, group)  # each distinct token's first position
+    ids = np.empty_like(order)
+    ids[order] = np.argsort(np.argsort(first)).repeat(np.diff(group, append=order.size))
+    first.sort()
+    tokens = [text[s:e] for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    return dict(zip(tokens, range(len(tokens)))), ids
+
+
 def load_graph(text) -> Graph:
     """The Graph of an edge-list text, equal to
-    build_graph(parse_edge_list(text)). A clean text is split and interned
-    as one buffer; any other text goes through the line-by-line parser,
-    which raises the ParseError with its line number."""
+    build_graph(parse_edge_list(text)). A clean text is interned as one
+    buffer, by packed byte keys when every token is short ASCII; any other
+    text goes through the line-by-line parser, which raises the ParseError
+    with its line number."""
+    packed = _packed_ids(text)
+    if packed is not None:
+        index, ids = packed
+        return _csr_graph(index, ids[0::2], ids[1::2])
     flat = _token_stream(text)
     return build_graph(parse_edge_list(text)) if flat is None else _graph_of(flat)
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ArgumentError, BoundsError, CoverageError, DegenerateEmbeddingError
-from .graph import Graph, _hops, multi_source_bfs, seeded_rng
+from .graph import Graph, _hops, multi_source_bfs
 
 DEFAULT_MAX_HOP = 5
 
@@ -219,30 +219,3 @@ def hop_embedding_profile(gd, ed) -> list[ProfileRow]:
     return [ProfileRow(hop=int(k), mean_distance=float(vals.mean()),
                        std=float(vals.std()), count=len(vals))
             for k, vals in zip(hops.tolist(), np.split(ed[order], starts[1:]))]
-
-
-def sampled_pair_distances(g: Graph, emb: EmbeddingTable, rng_seed: int,
-                           max_pairs: int = 2000):
-    """Diagnostic all-pairs mode: a seeded sample of distinct covered vertex
-    pairs with finite graph distance, capped at max_pairs."""
-    if max_pairs < 1:
-        raise ArgumentError(f"max_pairs must be positive, got {max_pairs}")
-    covered = np.flatnonzero(emb.covered)
-    if len(covered) < 2:
-        raise ArgumentError("need at least two covered vertices")
-    rng = seeded_rng(rng_seed)
-    gd: list[float] = []
-    ed: list[float] = []
-    attempts = 0
-    while len(gd) < max_pairs and attempts < 20 * max_pairs:
-        u = covered[int(rng.integers(len(covered)))]
-        dist_u = multi_source_bfs(g, [int(u)])
-        take = min(max_pairs - len(gd), 32)
-        for _ in range(take):
-            attempts += 1
-            v = covered[int(rng.integers(len(covered)))]
-            if v == u or not np.isfinite(dist_u[v]):
-                continue
-            gd.append(float(dist_u[v]))
-            ed.append(float(np.linalg.norm(emb.vectors[u] - emb.vectors[v])))
-    return np.asarray(gd), np.asarray(ed)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import deque
 
 import numpy as np
+from scipy import stats
 from scipy.sparse import csgraph
 
 INF = math.inf
@@ -344,6 +346,14 @@ def spearman_rank(xs, ys):
     rx = rx - rx.mean()
     ry = ry - ry.mean()
     return float((rx * ry).sum() / math.sqrt((rx * rx).sum() * (ry * ry).sum()))
+
+
+def scipy_spearman(xs, ys):
+    """scipy.stats.spearmanr's statistic, nan when either side is constant
+    or holds a nan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return float(stats.spearmanr(xs, ys).statistic)
 
 
 def ordering_violations(hop_risks):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topoaware
 from conftest import id_graph
 from topoaware import (build_graph, cli, errors, one_hot_features, parse_edge_list,
                        parse_label_table, parse_report, parse_token_list,
@@ -470,3 +475,12 @@ def test_report_parameters_capture_run_config(capsys, ws):
     assert params["k"] == 2 and params["rng_seed"] == 5
     rep = parse_report(json.dumps(doc))
     assert rep.payload_kind == "seed_selection"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # every CLI process pays its imports; scipy.stats alone took about 0.9 s
+    src = str(Path(topoaware.__file__).resolve().parents[1])
+    code = "import sys, topoaware.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -334,6 +334,18 @@ def test_ordering_matches_enumeration_oracle(risks):
     assert res.spearman == pytest.approx(rho, abs=1e-9)
 
 
+@given(st.lists(st.tuples(st.integers(-50, 50),
+                          st.sampled_from([0.0, 0.25, 1.0, np.inf, np.nan]) | st.floats(0, 1)),
+                min_size=2, max_size=40, unique_by=lambda row: row[0]))
+def test_ordering_spearman_equals_scipy_bits(rows):
+    # few distinct risks, so ties and all-ties (nan, reported as 0.0) are common
+    res = ordering_check(rows)
+    rho = oracles.scipy_spearman([k for k, _ in rows], [r for _, r in rows])
+    assert res.all_ties == (not np.isfinite(rho))
+    want = 0.0 if res.all_ties else rho
+    assert np.float64(res.spearman).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 # ---------------------------------------------------------------------------
 # trial grouping
 

@@ -11,8 +11,7 @@ import oracles
 from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, path_graph, tied_graph
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
                        UNREACHABLE, build_graph, closeness_centrality,
-                       connected_components, degrees, is_unreachable,
-                       multi_source_bfs, pagerank)
+                       connected_components, degrees, multi_source_bfs, pagerank)
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
@@ -147,7 +146,7 @@ def test_bfs_disconnected():
     g = build_graph([("0", "1"), ("2", "3")])
     d = multi_source_bfs(g, [0])
     assert list(d[:2]) == [0, 1]
-    assert is_unreachable(d[2]) and is_unreachable(d[3])
+    assert d[2] == UNREACHABLE and d[3] == UNREACHABLE
 
 
 def test_bfs_bounds_error():
@@ -386,5 +385,5 @@ def test_hop_distance_metric_axioms_small():
 
 def test_unreachable_is_maximal():
     assert UNREACHABLE > 10**18
-    assert is_unreachable(UNREACHABLE + 1)
+    assert UNREACHABLE + 1 == UNREACHABLE
     assert max(3.0, UNREACHABLE) == UNREACHABLE

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import er_graph, path_graph
@@ -78,7 +78,8 @@ def _outcome(read):
 
 
 def _graph_key(g):
-    return g.tokens, g.token_index, g.csr.indptr.tolist(), g.csr.indices.tolist()
+    return (g.tokens, list(g.token_index.items()), g.csr.indptr.tolist(),
+            g.csr.indices.tolist())
 
 
 @st.composite
@@ -105,6 +106,65 @@ def test_load_graph_takes_clean_text_whole():
     assert ingest._token_stream("a b\n\n c\td \nb a") == ["a", "b", "c", "d", "b", "a"]
     for text in ["", "\n \n", "a b\r\n", "a b\n# c\n", "a b c\n", "a\n"]:
         assert ingest._token_stream(text) is None, text
+
+
+# tokens of 1-9 bytes with shared prefixes, "v0" against "v00", NUL inside a
+# token ("a" against "a\x00"), non-ASCII ones and "#", which starts a comment
+# at the start of a line
+_PACKED_TOKENS = st.one_of(
+    st.sampled_from(["v0", "v00", "v1", "a", "a\x00", "\x00", "abcdefg", "abcdefgh",
+                     "abcdefgh1", "abcdefgh2", "abcdefgi", "é", "vé", "#"]),
+    st.text("ab\x00", min_size=1, max_size=9))
+
+
+@st.composite
+def _packed_text(draw):
+    """Lines of two tokens from a pool of up to four, with up to two lines of
+    0, 1, 3 or 4 tokens put in. Tokens are separated, and lines started and
+    ended, by space, tab and one other ASCII whitespace byte; the last line
+    break may be left off."""
+    pool = draw(st.lists(_PACKED_TOKENS, min_size=1, max_size=4))
+    blank = " \t" + draw(st.sampled_from("\x0b\x0c\r\x1c\x1d\x1e\x1f"))
+    counts = draw(st.lists(st.just(2), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        counts.insert(draw(st.integers(0, len(counts))), draw(st.sampled_from([0, 1, 3, 4])))
+    lines = []
+    for count in counts:
+        line = draw(st.text(blank, max_size=2))
+        for i in range(count):
+            line += draw(st.sampled_from(pool)) + draw(
+                st.text(blank, min_size=int(i < count - 1), max_size=2))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@example("")
+@example("a a\x00\n")  # zero padding alone makes these one key
+@example("abcdefgh1 abcdefgh2\n")  # equal first 8 bytes
+@example("a\x1cb a\n")  # str.split() splits at \x1c
+@example("a\rb\n")  # _lines breaks lines at CR
+@example("a\nb c\nd\n")
+@example("a b c d\n")
+@example("# a\nb c\n")
+@given(_packed_text())
+def test_load_graph_packs_short_ascii_tokens_as_the_row_loop_reads_them(text):
+    fast = _outcome(lambda: _graph_key(load_graph(text)))
+    assert fast == _outcome(lambda: _graph_key(build_graph(parse_edge_list(text))))
+
+
+def test_packed_ids_take_clean_short_tokens(monkeypatch):
+    # the benchmark's edge-list shape: v{i} tokens, one pair a line
+    text = "".join(f"v{i} v{i * 7 % 1000}\n" for i in range(1000))
+    want = _graph_key(ingest._graph_of(text.split()))
+
+    def no_dict_path(flat):
+        raise AssertionError("interned by the dict path")
+
+    monkeypatch.setattr(ingest, "_graph_of", no_dict_path)
+    assert _graph_key(load_graph(text)) == want
+    for text in ["", " \n", "a\n", "a a\x00\n", "abcdefgh1 b\n", "é b\n", "a b\r\n", "a b\n#\n",
+                 "a b c d\n", "a\nb c d\n", "a b c\n"]:
+        assert ingest._packed_ids(text) is None, text
 
 
 def _vector_rows(tokens, values):

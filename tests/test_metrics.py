@@ -8,12 +8,12 @@ from hypothesis import given, strategies as st
 
 import oracles
 from conftest import er_graph, id_graph, path_graph
-from topoaware import (ArgumentError, CoverageError, DegenerateEmbeddingError,
-                       EmbeddingTable, build_graph,
+from topoaware import (UNREACHABLE, ArgumentError, CoverageError,
+                       DegenerateEmbeddingError, EmbeddingTable, build_graph,
                        estimate_distortion, group_distance,
-                       group_distance_point, hop_embedding_profile, is_unreachable,
+                       group_distance_point, hop_embedding_profile,
                        multi_source_bfs, paired_distances_for_distortion,
-                       partition_by_distance, sampled_pair_distances)
+                       partition_by_distance)
 from topoaware.metrics import _POINT_TO_SET_ELEMENTS, _point_to_set
 
 
@@ -38,7 +38,7 @@ def test_point_group_distance_path():
 
 def test_point_group_distance_unreachable():
     g = build_two_components()
-    assert is_unreachable(group_distance_point(g, 0, {3}))
+    assert group_distance_point(g, 0, {3}) == UNREACHABLE
 
 
 def build_two_components():
@@ -72,7 +72,7 @@ def test_group_distance_matches_double_loop(seed):
     want = oracles.group_distance(fw, a, b)
     got = group_distance(g, a, b)
     if want is None:
-        assert is_unreachable(got)
+        assert got == UNREACHABLE
     else:
         assert got == want
 
@@ -392,16 +392,3 @@ def test_point_to_set_matches_per_vertex_loop(seed, dim, rows_per_chunk, mode):
     vs = rng.integers(0, n, size=int(rng.integers(2, 5)) * rows_per_chunk + 1)
     got = _point_to_set(emb, vs, seed_ids, mode)
     assert np.array_equal(got, oracles.point_to_set_loop(emb, vs, seed_ids, mode))
-
-
-def test_sampled_pairs_cap_and_determinism():
-    rng = np.random.default_rng(0)
-    g, _ = er_graph(rng, 40, 0.2, connected=True)
-    emb = EmbeddingTable(rng.normal(size=(40, 2)))
-    gd1, ed1 = sampled_pair_distances(g, emb, rng_seed=5, max_pairs=50)
-    gd2, ed2 = sampled_pair_distances(g, emb, rng_seed=5, max_pairs=50)
-    assert np.array_equal(gd1, gd2) and np.array_equal(ed1, ed2)
-    assert len(gd1) == 50
-    assert np.all(gd1 >= 1) and np.all(ed1 >= 0.0)
-    with pytest.raises(ArgumentError, match="rng seed"):
-        sampled_pair_distances(g, emb, None)

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import (LEVEL_CHARGES, er_graph, grid_graph, id_graph, level_charge, path_graph,
                       tied_graph)
-from topoaware import (ArgumentError, SizeGuardError, baseline_select,
+from topoaware import (UNREACHABLE, ArgumentError, SizeGuardError, baseline_select,
                        brute_force_kcenter, connected_components,
-                       coverage_sampling, is_unreachable, kcenter_greedy,
+                       coverage_sampling, kcenter_greedy,
                        kcenter_objective, multi_source_bfs)
 
 
@@ -43,7 +43,7 @@ def test_objective_rejects_full_vertex_set():
 
 def test_objective_unreachable():
     g = id_graph(4, [(0, 1), (2, 3)])
-    assert is_unreachable(kcenter_objective(multi_source_bfs(g, {0})))
+    assert kcenter_objective(multi_source_bfs(g, {0})) == UNREACHABLE
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -57,7 +57,7 @@ def test_objective_matches_oracle(seed):
     want = oracles.kcenter_objective(fw, seeds)
     got = kcenter_objective(multi_source_bfs(g, seeds))
     if want is None:
-        assert is_unreachable(got)
+        assert got == UNREACHABLE
     else:
         assert got == want
 
@@ -145,7 +145,7 @@ def test_greedy_covers_every_component(seed):
     k = int(rng.integers(c, n))
     sel = kcenter_greedy(g, k)
     assert {int(labels[s]) for s in sel.seeds} == set(range(c))
-    assert not is_unreachable(sel.objective)
+    assert sel.objective != UNREACHABLE
 
 
 def test_greedy_tie_breaks_to_lowest_id():
@@ -221,7 +221,7 @@ def test_brute_lexicographic_ties():
 def test_brute_every_set_leaves_a_vertex_unreachable():
     g = id_graph(5, [(0, 1), (2, 3)])
     sel = brute_force_kcenter(g, 2)
-    assert sel.seeds == (0, 1) and is_unreachable(sel.objective)
+    assert sel.seeds == (0, 1) and sel.objective == UNREACHABLE
 
 
 @given(st.integers(0, 2**32 - 1))
