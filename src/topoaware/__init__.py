@@ -6,8 +6,7 @@ from .errors import (ArgumentError, BoundsError, CoverageError,
                      InternalInvariantError, ParseError, SizeGuardError,
                      TopoawareError)
 from .graph import (UNREACHABLE, Graph, PageRankResult, build_graph,
-                    closeness_centrality, connected_components, degrees,
-                    multi_source_bfs, pagerank)
+                    closeness_centrality, degrees, multi_source_bfs, pagerank)
 from .metrics import (DEFAULT_MAX_HOP, DistortionEstimate, EmbeddingTable,
                       ProfileRow, SubgroupPartition, estimate_distortion,
                       group_distance, group_distance_point, hop_embedding_profile,

@@ -8,6 +8,7 @@ effective run configuration, so a run is reproducible from its own report.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -68,7 +69,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _report(args, kind: str, payload: dict, **resolved) -> None:
@@ -191,6 +195,8 @@ def cmd_sample(args, g) -> int:
 
 
 def cmd_evaluate(args, g) -> int:
+    if not math.isfinite(args.bound_constant):
+        raise ArgumentError(f"--bound-constant must be finite, got {args.bound_constant}")
     seeds = _load_seeds(args.seeds, g)
     truth_table = parse_label_table(_read(args.labels))
     pred_table = parse_label_table(_read(args.predictions))

@@ -1,5 +1,5 @@
-"""Immutable undirected graph with hop-distance, degree, component, and
-centrality queries.
+"""Immutable undirected graph with hop-distance, degree and centrality
+queries.
 
 Unreachable hop distances are IEEE +inf (`UNREACHABLE`): a distinguished
 maximal value, never a finite sentinel. Distance arrays are float64 so inf
@@ -91,12 +91,6 @@ def build_graph(edge_tokens) -> Graph:
         flat += (a, b)
     if not flat:
         raise EmptyGraphError("no edges supplied")
-    return _graph_of(flat)
-
-
-def _graph_of(flat: list) -> Graph:
-    """The Graph of a non-empty flat token list, read as (token, token)
-    pairs; ids follow first-seen order."""
     index: dict[str, int] = {}
     ids = np.array([index.setdefault(t, len(index)) for t in flat], dtype=np.int64)
     return _csr_graph(index, ids[0::2], ids[1::2])
@@ -256,10 +250,3 @@ def closeness_centrality(g: Graph) -> np.ndarray:
             vals = np.where(rc > 0, (rc / np.where(sums > 0, sums, 1.0)) * (rc / (n - 1)), 0.0)
         out[idx] = vals
     return out
-
-
-def connected_components(g: Graph) -> np.ndarray:
-    """Component labels 0..c-1, relabeled to first-seen vertex order."""
-    _, raw = csgraph.connected_components(g.csr, directed=False)
-    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
-from .graph import Graph, _csr_graph, _graph_of, build_graph, degrees
+from .graph import Graph, _csr_graph, build_graph, degrees
 from .metrics import EmbeddingTable
 
 SCHEMA_VERSION = "1"
@@ -60,65 +60,70 @@ def parse_edge_list(text) -> list:
     return [(a, b) for _, (a, b) in _rows(_lines(text), None, 2, "tokens")]
 
 
-def _token_stream(text) -> list | None:
-    """All tokens of an edge list in order, when every line is blank or one
-    plain token pair (no '#' comment, no CR line break); otherwise None."""
-    if "#" in text or "\r" in text:
-        return None
-    flat = text.split()
-    if not flat or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
-        return None
-    return flat
-
-
-# per byte, 1 unless str.split() splits at it (\t \n \v \f \r, \x1c-\x1f, space)
+# per byte, 1 unless str.split() splits at it (\t \n \v \f \r, \x1c-\x1f, space);
+# UTF-8 lead and continuation bytes are all 1
 _TOKEN_BYTE = bytes(b not in (9, 10, 11, 12, 13, 28, 29, 30, 31, 32) for b in range(256))
+# the non-ASCII characters str.split() splits at
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 # masks that keep the first k = 0..8 bytes of a big-endian uint64
 _PREFIX_MASK = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
 
 
 def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
-    """(token -> id map, the id of every token in order) of a clean ASCII
-    edge list whose tokens are at most 8 bytes, with ids in first-seen
-    order; otherwise None. Each token is one exact uint64 key (its bytes,
-    zero-padded; a NUL would pad "a" to "a\\x00", so text with one is
-    declined), and one sort groups equal keys."""
-    if not text.isascii() or "#" in text or "\r" in text or "\x00" in text:
+    """(token -> id map, the id of every token in order) of a clean edge
+    list, with ids in first-seen order; None for text with a '#', CR, NUL,
+    non-ASCII whitespace or lone surrogate, or a line without 0 or 2 tokens.
+    Each token of the UTF-8 text is an exact key of ceil(longest / 8)
+    uint64 words (its bytes, zero-padded; a NUL would pad "a" to "a\\x00",
+    so text with one is declined), and one sort groups equal keys."""
+    if "#" in text or "\r" in text or "\x00" in text:
         return None
-    raw = text.encode("ascii")
+    if not text.isascii() and _WIDE_SPACE.search(text):
+        return None
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
     inside = np.frombuffer((b" %b " % raw).translate(_TOKEN_BYTE), dtype=np.int8)
     starts, ends = np.flatnonzero(np.diff(inside)).reshape(-1, 2).T
-    size = ends - starts
-    if not starts.size or starts.size % 2 or size.max() > 8:
+    if not starts.size or starts.size % 2:
         return None
     line = np.searchsorted(np.flatnonzero(np.frombuffer(raw, np.uint8) == 10), starts)
     if (line[0::2] != line[1::2]).any() or (np.diff(line[0::2]) <= 0).any():
         return None  # a line without 0 or 2 tokens
-    at = np.ndarray(len(raw), dtype=">u8", buffer=raw + bytes(8), strides=(1,))
-    keys = at[starts].astype(np.uint64) & _PREFIX_MASK[size]
-    order = np.argsort(keys)
-    keys = keys[order]
-    group = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    size = ends - starts
+    words = -(-int(size.max()) // 8)
+    buf = raw + b" " * (8 * words)
+    at = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
+    keys = [at[8 * w:][starts].astype(np.uint64) & _PREFIX_MASK[(size - 8 * w).clip(0, 8)]
+            for w in range(words)]
+    # lexsort took 4x argsort's time on one word of 10**6 keys
+    order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
+    keys = [k[order] for k in keys]
+    differs = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    group = np.flatnonzero(np.concatenate([[True], differs]))
     first = np.minimum.reduceat(order, group)  # each distinct token's first position
     ids = np.empty_like(order)
     ids[order] = np.argsort(np.argsort(first)).repeat(np.diff(group, append=order.size))
     first.sort()
-    tokens = [text[s:e] for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    # the distinct tokens, each cut with the whitespace byte after it (a pad
+    # space after a token that ends the text), joined in one buffer and split
+    n = size[first] + 1
+    cut = np.repeat(starts[first] - np.cumsum(n) + n, n) + np.arange(n.sum())
+    tokens = np.frombuffer(buf, np.uint8)[cut].tobytes().decode().split()
     return dict(zip(tokens, range(len(tokens)))), ids
 
 
 def load_graph(text) -> Graph:
     """The Graph of an edge-list text, equal to
     build_graph(parse_edge_list(text)). A clean text is interned as one
-    buffer, by packed byte keys when every token is short ASCII; any other
-    text goes through the line-by-line parser, which raises the ParseError
-    with its line number."""
+    buffer by packed byte keys; any other text goes through the
+    line-by-line parser, which raises the ParseError with its line number."""
     packed = _packed_ids(text)
     if packed is not None:
         index, ids = packed
         return _csr_graph(index, ids[0::2], ids[1::2])
-    flat = _token_stream(text)
-    return build_graph(parse_edge_list(text)) if flat is None else _graph_of(flat)
+    return build_graph(parse_edge_list(text))
 
 
 def write_edge_list(g: Graph) -> str:

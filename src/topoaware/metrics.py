@@ -91,11 +91,6 @@ class EmbeddingTable:
         """Read-only mask of the covered rows."""
         return _read_only(np.isfinite(self.vectors).all(axis=1))
 
-    def vector(self, v: int) -> np.ndarray:
-        if not (0 <= v < len(self.covered) and self.covered[v]):
-            raise CoverageError("vertex has no embedding", missing=(v,))
-        return self.vectors[v]
-
 
 def group_distance_point(g: Graph, v: int, S) -> float:
     """D_s(v, S) = min hop distance from v to any member of S."""

@@ -344,6 +344,17 @@ def test_evaluate_with_embeddings_adds_bounds(capsys, tmp_path):
     assert bounds[2]["bound_value"] == 6.0  # train risk 0 + 2.0 * 3
 
 
+@pytest.mark.parametrize("constant", ["nan", "inf", "-inf"])
+def test_evaluate_non_finite_bound_constant_is_usage_error(capsys, tmp_path, constant):
+    graph, seeds, truth, preds = evaluate_workspace(tmp_path)
+    emb = write_line_embeddings(tmp_path, 5)
+    got = run(capsys, ["evaluate", "--graph", str(graph), "--seeds", str(seeds),
+                       "--labels", str(truth), "--predictions", str(preds),
+                       "--embeddings", str(emb), f"--bound-constant={constant}"])
+    assert got == (2, "", "usage error: --bound-constant must be finite, got "
+                          f"{float(constant)}\n")
+
+
 def test_evaluate_mode_mismatch(capsys, tmp_path):
     graph, seeds, truth, _ = evaluate_workspace(tmp_path)
     reg = tmp_path / "reg.csv"
@@ -447,6 +458,22 @@ def test_negative_seed_is_usage_error(capsys, ws, argv):
     argv = [str(ws[1]) if a == "GRAPH" else a for a in argv]
     assert run(capsys, argv) == (2, "", "usage error: rng seed must be a non-negative "
                                         "integer, got -1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["partition", "--graph", "GRAPH", "--seeds", "SEEDS", "--out", "MISSING/report.json"],
+    ["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "2",
+     "--seeds-out", "MISSING/seeds.txt"],
+    ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "1",
+     "--out", "MISSING/graph.txt"],
+], ids=["partition --out", "sample --seeds-out", "synth --out"])
+def test_unwritable_output_is_usage_error(capsys, ws, argv):
+    tmp, graph, seeds = ws
+    names = {"GRAPH": str(graph), "SEEDS": str(seeds)}
+    argv = [names.get(a, a.replace("MISSING", str(tmp / "missing"))) for a in argv]
+    code, _, err = run(capsys, argv)
+    path = argv[-1]
+    assert (code, err) == (2, f"usage error: cannot write {path}: No such file or directory\n")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

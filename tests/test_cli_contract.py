@@ -3,11 +3,10 @@
 Each case damages one input file of one file-reading command (bytes deleted,
 inserted or cut off; a BOM, NUL, CR, form feed, NEL, `nan`, `1e400`, a huge
 int, a stray comma, a `#` or an invalid UTF-8 byte put in) and runs
-`cli.main` on it four times: twice as is, once with the packed-key graph
-read turned off, so a clean edge list is interned by the dict path, and once
-with every whole-buffer read turned off, so the row loop reads every file.
-The exit code must be 0, 2, 3, 4 or 5, stderr empty or one line, and all
-four runs byte-identical.
+`cli.main` on it three times: twice as is, and once with every whole-buffer
+read (the packed-key graph read and the vector block) turned off, so the row
+loop reads every file. The exit code must be 0, 2, 3, 4 or 5, stderr empty or
+one line, and all three runs byte-identical.
 The long run is marked `slow` and deselected by default:
 
     python3 -m pytest -m slow tests/test_cli_contract.py
@@ -91,8 +90,6 @@ def _check(workspace, case):
     assert _run(argv) == first
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_packed_ids", lambda text: None)
-        assert _run(argv) == first
-        mp.setattr(ingest, "_token_stream", lambda text: None)
         mp.setattr(ingest, "_vector_block", lambda rows, dim, g: None)
         assert _run(argv) == first
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
-from topoaware import build_graph, connected_components, ingest, parse_edge_list, sampling
+from topoaware import build_graph, ingest, parse_edge_list, sampling
 from topoaware.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -137,7 +137,7 @@ def test_connected_graph_has_one_component():
     text = (GOLDEN / "connected.txt").read_text(encoding="utf-8")
     g = build_graph(parse_edge_list(text))
     assert (g.n, g.m) == (150, 430)
-    assert connected_components(g).max() == 0
+    assert csgraph.connected_components(g.csr, directed=False)[0] == 1
 
 
 # run -> (csgraph.dijkstra sweeps, relax calls): one seed-distance array per

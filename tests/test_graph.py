@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,8 +8,8 @@ from scipy.sparse import csgraph
 import oracles
 from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, path_graph, tied_graph
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
-                       UNREACHABLE, build_graph, closeness_centrality,
-                       connected_components, degrees, multi_source_bfs, pagerank)
+                       UNREACHABLE, build_graph, closeness_centrality, degrees,
+                       multi_source_bfs, pagerank)
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
@@ -339,29 +337,6 @@ def test_closeness_size_guard_fires_before_any_sweep(monkeypatch):
     with pytest.raises(SizeGuardError, match="10001 vertices"):
         closeness_centrality(g)
     assert sweeps == []
-
-
-# ---------------------------------------------------------------------------
-# components
-
-
-def test_components_basic():
-    assert list(connected_components(path_graph(4))) == [0, 0, 0, 0]
-    g = build_graph([("0", "1"), ("2", "3")])
-    assert list(connected_components(g)) == [0, 0, 1, 1]
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_components_match_bfs_reachability(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 31))
-    g, _ = er_graph(rng, n, 0.08)
-    labels = connected_components(g)
-    assert labels.min() == 0 and set(labels) == set(range(labels.max() + 1))
-    for _ in range(5):
-        u, v = int(rng.integers(n)), int(rng.integers(n))
-        reachable = math.isfinite(multi_source_bfs(g, [u])[v])
-        assert (labels[u] == labels[v]) == reachable
 
 
 # ---------------------------------------------------------------------------

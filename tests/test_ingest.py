@@ -102,19 +102,34 @@ def test_load_graph_equals_the_row_loop(text):
     assert fast == _outcome(lambda: _graph_key(build_graph(parse_edge_list(text))))
 
 
+# the 19 non-ASCII characters str.split() splits at
+_WIDE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
+                 + "\u2028\u2029\u202f\u205f\u3000")
+
+
 def test_load_graph_takes_clean_text_whole():
-    assert ingest._token_stream("a b\n\n c\td \nb a") == ["a", "b", "c", "d", "b", "a"]
-    for text in ["", "\n \n", "a b\r\n", "a b\n# c\n", "a b c\n", "a\n"]:
-        assert ingest._token_stream(text) is None, text
+    index, ids = ingest._packed_ids("a b\n\n c\td \nb a")
+    assert list(index.items()) == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
+    assert ids.tolist() == [0, 1, 2, 3, 1, 0]
+    declined = ["", " \n", "\n \n", "a\n", "a a\x00\n", "a b\r\n", "a b\n#\n", "a b\n# c\n",
+                "a b c\n", "a b c d\n", "a\nb c d\n", "\ud800 b\n", "é\ud800 b\n"]
+    declined += [f"a{c}b c\n" for c in _WIDE_SPACES]
+    for text in declined:
+        assert ingest._packed_ids(text) is None, text
 
 
-# tokens of 1-9 bytes with shared prefixes, "v0" against "v00", NUL inside a
-# token ("a" against "a\x00"), non-ASCII ones and "#", which starts a comment
-# at the start of a line
+# tokens of 1-24 bytes with shared prefixes across the 8- and 16-byte word
+# edges, "v0" against "v00", NUL inside a token ("a" against "a\x00"), UTF-8
+# ones, a lone surrogate, each non-ASCII character str.split() splits at
+# inside a token, and "#", which starts a comment at the start of a line
 _PACKED_TOKENS = st.one_of(
     st.sampled_from(["v0", "v00", "v1", "a", "a\x00", "\x00", "abcdefg", "abcdefgh",
-                     "abcdefgh1", "abcdefgh2", "abcdefgi", "é", "vé", "#"]),
-    st.text("ab\x00", min_size=1, max_size=9))
+                     "abcdefgh1", "abcdefgh2", "abcdefgi", "abcdefghabcdefgh",
+                     "abcdefghabcdefgh1", "abcdefghabcdefgi", "é", "vé", "東京", "東京1",
+                     "\ud800", "#"]),
+    st.sampled_from(_WIDE_SPACES).map("a{}b".format),
+    st.text("ab\x00", min_size=1, max_size=9),
+    st.text("ab", min_size=1, max_size=24))
 
 
 @st.composite
@@ -141,6 +156,8 @@ def _packed_text(draw):
 @example("")
 @example("a a\x00\n")  # zero padding alone makes these one key
 @example("abcdefgh1 abcdefgh2\n")  # equal first 8 bytes
+@example("abcdefghabcdefgh1 abcdefghabcdefgh\n")  # equal first 16 bytes
+@example("\naaaaaaaaa a")  # the second word of "a" is read past the text
 @example("a\x1cb a\n")  # str.split() splits at \x1c
 @example("a\rb\n")  # _lines breaks lines at CR
 @example("a\nb c\nd\n")
@@ -153,18 +170,17 @@ def test_load_graph_packs_short_ascii_tokens_as_the_row_loop_reads_them(text):
 
 
 def test_packed_ids_take_clean_short_tokens(monkeypatch):
-    # the benchmark's edge-list shape: v{i} tokens, one pair a line
-    text = "".join(f"v{i} v{i * 7 % 1000}\n" for i in range(1000))
-    want = _graph_key(ingest._graph_of(text.split()))
+    # the benchmark's edge-list shape (v{i} tokens, one pair a line), then
+    # tokens of 20-23 bytes and UTF-8 ones
+    texts = ["".join(f"{p}{i} {p}{i * 7 % 1000}\n" for i in range(1000))
+             for p in ("v", "vertex_of_the_graph_", "städte_", "東京")]
+    want = [_graph_key(build_graph(parse_edge_list(text))) for text in texts]
 
-    def no_dict_path(flat):
-        raise AssertionError("interned by the dict path")
+    def no_row_loop(*args):
+        raise AssertionError("read by the row loop")
 
-    monkeypatch.setattr(ingest, "_graph_of", no_dict_path)
-    assert _graph_key(load_graph(text)) == want
-    for text in ["", " \n", "a\n", "a a\x00\n", "abcdefgh1 b\n", "é b\n", "a b\r\n", "a b\n#\n",
-                 "a b c d\n", "a\nb c d\n", "a b c\n"]:
-        assert ingest._packed_ids(text) is None, text
+    monkeypatch.setattr(ingest, "_rows", no_row_loop)
+    assert [_graph_key(load_graph(text)) for text in texts] == want
 
 
 def _vector_rows(tokens, values):

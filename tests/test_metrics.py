@@ -259,29 +259,12 @@ def test_embedding_table_rows_are_all_finite_or_all_nan():
         t.covered[1] = True
 
 
-def test_embedding_table_lookup_outside_the_rows():
-    t = EmbeddingTable(np.array([[np.nan], [1.0]]))
-    assert t.vector(1)[0] == 1.0
-    for v in (2, -1):
-        with pytest.raises(CoverageError):
-            t.vector(v)
-
-
 def test_paired_distances_table_shorter_than_graph():
     g = path_graph(5)
     emb = EmbeddingTable(np.arange(3, dtype=float).reshape(-1, 1))
     with pytest.raises(CoverageError) as ei:
         paired_distances_for_distortion(partition_by_distance(g, {0}, max_hop=4), emb)
     assert ei.value.missing == (3, 4)
-
-
-def test_embedding_table_uncovered_lookup():
-    vec = np.full((3, 1), np.nan)
-    vec[0] = 1.0
-    t = EmbeddingTable(vec)
-    assert t.vector(0)[0] == 1.0
-    with pytest.raises(CoverageError):
-        t.vector(2)
 
 
 # ---------------------------------------------------------------------------
