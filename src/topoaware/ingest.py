@@ -75,7 +75,9 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
     non-ASCII whitespace or lone surrogate, or a line without 0 or 2 tokens.
     Each token of the UTF-8 text is an exact key of ceil(longest / 8)
     uint64 words (its bytes, zero-padded; a NUL would pad "a" to "a\\x00",
-    so text with one is declined), and one sort groups equal keys."""
+    so text with one is declined), and one sort groups equal keys. Text
+    whose keys would outweigh it 8 to 1 (a long token among many short
+    ones) is declined too, so memory stays linear in the text."""
     if "#" in text or "\r" in text or "\x00" in text:
         return None
     if not text.isascii() and _WIDE_SPACE.search(text):
@@ -93,24 +95,24 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
         return None  # a line without 0 or 2 tokens
     size = ends - starts
     words = -(-int(size.max()) // 8)
+    if words * starts.size > len(raw):
+        return None
     buf = raw + b" " * (8 * words)
     at = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
     keys = [at[8 * w:][starts].astype(np.uint64) & _PREFIX_MASK[(size - 8 * w).clip(0, 8)]
             for w in range(words)]
     # lexsort took 4x argsort's time on one word of 10**6 keys
     order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
-    keys = [k[order] for k in keys]
-    differs = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    differs = np.zeros(order.size - 1, dtype=bool)
+    for k in keys:
+        k = k[order]
+        differs |= k[1:] != k[:-1]
     group = np.flatnonzero(np.concatenate([[True], differs]))
     first = np.minimum.reduceat(order, group)  # each distinct token's first position
     ids = np.empty_like(order)
     ids[order] = np.argsort(np.argsort(first)).repeat(np.diff(group, append=order.size))
     first.sort()
-    # the distinct tokens, each cut with the whitespace byte after it (a pad
-    # space after a token that ends the text), joined in one buffer and split
-    n = size[first] + 1
-    cut = np.repeat(starts[first] - np.cumsum(n) + n, n) + np.arange(n.sum())
-    tokens = np.frombuffer(buf, np.uint8)[cut].tobytes().decode().split()
+    tokens = [raw[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist())]
     return dict(zip(tokens, range(len(tokens)))), ids
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_packed_ids_take_clean_short_tokens(monkeypatch):
 
     monkeypatch.setattr(ingest, "_rows", no_row_loop)
     assert [_graph_key(load_graph(text)) for text in texts] == want
+
+
+def test_load_graph_memory_stays_linear_with_one_long_token():
+    # every token's key has as many words as the longest token's; here the
+    # keys would take about 380 MB, so the text goes to the row loop
+    text = "".join(f"v{i} v{i * 7 % 10**4}\n" for i in range(10**4)) + "a" * 10**4 + " v0\n"
+    assert ingest._packed_ids(text) is None
+    tracemalloc.start()
+    try:
+        g = load_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert _graph_key(g) == _graph_key(build_graph(parse_edge_list(text)))
 
 
 def _vector_rows(tokens, values):
