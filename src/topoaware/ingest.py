@@ -104,8 +104,8 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
     # lexsort took 4x argsort's time on one word of 10**6 keys
     order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
     differs = np.zeros(order.size - 1, dtype=bool)
-    for k in keys:
-        k = k[order]
+    while keys:  # each word's sorted copy replaces it, so one copy is alive
+        k = keys.pop()[order]
         differs |= k[1:] != k[:-1]
     group = np.flatnonzero(np.concatenate([[True], differs]))
     first = np.minimum.reduceat(order, group)  # each distinct token's first position
