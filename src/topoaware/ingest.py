@@ -97,7 +97,7 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
     words = -(-int(size.max()) // 8)
     if words * starts.size > len(raw):
         return None
-    buf = raw + b" " * (8 * words)
+    buf = raw + bytes(8 * words)
     at = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
     keys = [at[8 * w:][starts].astype(np.uint64) & _PREFIX_MASK[(size - 8 * w).clip(0, 8)]
             for w in range(words)]
