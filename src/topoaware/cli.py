@@ -206,6 +206,12 @@ def cmd_evaluate(args, g) -> int:
     truth = resolve_labels(truth_table, g)
     predicted = resolve_labels(pred_table, g)
     shared = sorted(set(truth) & set(predicted))
+    if truth_table.mode == "classification":  # make_prediction_table would name an id
+        for labels in (predicted, truth):
+            for v in shared:
+                if labels[v] < 0:
+                    raise ArgumentError(f"classification labels must be non-negative ints, "
+                                        f"got {labels[v]} at {g.tokens[v]}")
     preds = make_prediction_table({v: predicted[v] for v in shared},
                                   {v: truth[v] for v in shared}, truth_table.mode)
     part = partition_by_distance(g, seeds, args.max_hop)
@@ -230,6 +236,10 @@ def cmd_evaluate(args, g) -> int:
                    "group_distance": br.group_distance, "bound_driver": br.bound_driver,
                    "bound_value": br.bound_value(args.bound_constant)}
                   for k, count, br in rows]
+        overflow = next((b["hop"] for b in bounds if not math.isfinite(b["bound_value"])), None)
+        if overflow is not None:
+            raise ArgumentError(f"--bound-constant {args.bound_constant} makes the bound "
+                                f"value at hop {overflow} overflow")
     payload = {
         "per_hop": [{"hop": k, "accuracy": acc, "count": count}
                     for k, acc, count in report.per_hop],

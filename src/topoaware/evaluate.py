@@ -91,7 +91,6 @@ class SubgroupReport:
     per_hop: tuple
     train_accuracy: float
     max_discrepancy: float
-    max_hop: int
 
 
 def subgroup_accuracy(partition: SubgroupPartition, preds: PredictionTable) -> SubgroupReport:
@@ -108,8 +107,7 @@ def subgroup_accuracy(partition: SubgroupPartition, preds: PredictionTable) -> S
     accs = (1.0 - np.bincount(hops[wrong], minlength=len(counts)) / counts).tolist()
     rows = tuple(zip(range(1, len(counts)), accs[1:], counts[1:].tolist()))
     md = max(accs[1:]) - min(accs[1:]) if len(rows) >= 2 else 0.0
-    return SubgroupReport(per_hop=rows, train_accuracy=accs[0],
-                          max_discrepancy=md, max_hop=partition.max_hop)
+    return SubgroupReport(per_hop=rows, train_accuracy=accs[0], max_discrepancy=md)
 
 
 @dataclass(frozen=True)

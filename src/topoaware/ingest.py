@@ -161,42 +161,29 @@ def resolve_tokens(tokens, g: Graph) -> list:
 # vector tables
 
 
-VECTOR_CHUNK_ROWS = 4096  # rows parsed per joined buffer; bounds the field lists
-
-
 def _vector_block(rows, dim: int, g: Graph) -> np.ndarray | None:
-    """The vectors of `rows`, parsed a chunk of rows at a time: each chunk is
-    joined, split on commas and converted by one numpy call (which reads a
-    str as float() does). None when any row is not a plain row of known,
-    unique token and finite values, or holds a '#'."""
+    """The vectors of `rows`, read by one np.loadtxt call (whose C reader
+    takes a subset of what float() reads). None when there are no rows or
+    any row is not a plain row of known, unique token and finite values,
+    or holds a '#' (a comment to the row loop, and the one character that
+    changes loadtxt's row count)."""
+    if not rows or any("#" in row or row.count(",") != dim for row in rows):
+        return None
+    try:
+        ids = [g.token_index[row[:row.index(",")].strip()] for row in rows]
+        values = np.loadtxt(rows, delimiter=",", usecols=range(1, dim + 1), ndmin=2)
+    except (KeyError, ValueError):
+        return None
     vectors = np.full((g.n, dim), np.nan)
-    filled = np.zeros(g.n, dtype=bool)
-    for start in range(0, len(rows), VECTOR_CHUNK_ROWS):
-        chunk = rows[start:start + VECTOR_CHUNK_ROWS]
-        joined = ",".join(chunk)
-        if "#" in joined or any(row.count(",") != dim for row in chunk):
-            return None
-        fields = joined.split(",")
-        tokens = map(str.strip, fields[::dim + 1])
-        del fields[::dim + 1]
-        try:
-            ids = np.fromiter(map(g.token_index.__getitem__, tokens), dtype=np.intp,
-                              count=len(chunk))
-            values = np.array(fields, dtype=np.float64).reshape(len(chunk), dim)
-        except (KeyError, ValueError):
-            return None
-        if not np.isfinite(values).all():
-            return None
-        vectors[ids] = values
-        filled[ids] = True
-    # a repeated token fills one row twice
-    return vectors if np.count_nonzero(filled) == len(rows) else None
+    vectors[ids] = values
+    # a non-finite value or a repeated token leaves fewer finite rows than rows
+    return vectors if np.count_nonzero(np.isfinite(vectors).all(axis=1)) == len(rows) else None
 
 
 def parse_vector_table(text, g: Graph) -> EmbeddingTable:
     """Comma-separated vector rows under a "node,d0,d1,..." header; vertices
-    without a row get a NaN row. Clean rows are parsed a chunk at a time;
-    if any check fails, the row loop reads the table again and raises the
+    without a row get a NaN row. Clean rows are read as one block; if any
+    check fails, the row loop reads the table again and raises the
     error of its first bad line."""
     lines = _lines(text)
     if not lines or not lines[0].strip():

@@ -344,15 +344,32 @@ def test_evaluate_with_embeddings_adds_bounds(capsys, tmp_path):
     assert bounds[2]["bound_value"] == 6.0  # train risk 0 + 2.0 * 3
 
 
-@pytest.mark.parametrize("constant", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("constant", ["nan", "inf", "-inf", "1e308"])
 def test_evaluate_non_finite_bound_constant_is_usage_error(capsys, tmp_path, constant):
     graph, seeds, truth, preds = evaluate_workspace(tmp_path)
     emb = write_line_embeddings(tmp_path, 5)
     got = run(capsys, ["evaluate", "--graph", str(graph), "--seeds", str(seeds),
                        "--labels", str(truth), "--predictions", str(preds),
                        "--embeddings", str(emb), f"--bound-constant={constant}"])
-    assert got == (2, "", "usage error: --bound-constant must be finite, got "
-                          f"{float(constant)}\n")
+    if constant == "1e308":  # finite, but 1e308 * the hop-2 driver 2 overflows
+        assert got == (2, "", "usage error: --bound-constant 1e+308 makes the bound "
+                              "value at hop 2 overflow\n")
+    else:
+        assert got == (2, "", "usage error: --bound-constant must be finite, got "
+                              f"{float(constant)}\n")
+
+
+def test_evaluate_negative_class_label_names_its_token(capsys, tmp_path, monkeypatch):
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    for name in ("graph.txt", "seeds.txt", "labels.csv", "predictions.csv"):
+        (tmp_path / name).write_text((golden / name).read_text())
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels.read_text().replace("\nv101,1\n", "\nv101,-1\n"))
+    monkeypatch.chdir(tmp_path)
+    got = run(capsys, ["evaluate", "--graph", "graph.txt", "--seeds", "seeds.txt",
+                       "--labels", "labels.csv", "--predictions", "predictions.csv"])
+    assert got == (2, "", "usage error: classification labels must be non-negative ints, "
+                          "got -1 at v101\n")
 
 
 def test_evaluate_mode_mismatch(capsys, tmp_path):

@@ -101,7 +101,6 @@ def test_subgroup_perfect_predictions():
     assert rep.train_accuracy == 1.0
     assert [acc for _, acc, _ in rep.per_hop] == [1.0, 1.0, 1.0]
     assert rep.max_discrepancy == 0.0
-    assert rep.max_hop == 3
 
 
 def test_subgroup_md_is_max_minus_min():

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import oracles
 from conftest import er_graph, path_graph
@@ -62,8 +62,10 @@ _ODD_EDGE_LINES = ["x y\x0c", "x\x85y", "\x85c a", "# note", "a#b c", "c #d", ""
                    "  ", "\x0c", "a", "a b c"]
 _TOKENS = ["a", "b", " c ", "d\x0c", "e", "f", "g", "h"]
 _ODD_TOKENS = ["zz", "#a", "a#", ""]
-_VALUES = ["1.5", "-0.0", "1_0", " 2 ", "١", "４", "4.9e-324", "3\x0c", "\x854"]
-_ODD_VALUES = ["nan", "1e400", "-inf", "x", "", "0x10", "1__0", "1\x00"]
+_VALUES = ["1.5", "-0.0", "1_0", " 2 ", "١", "４", "4.9e-324", "3\x0c", "\x854", "1e-400",
+           "123456789012345678901234567890"]
+_VALUES += [f"{c}5{c}" for c in "\x1c\x1d\x1e\x1f\xa0\u2000\u3000"]
+_ODD_VALUES = ["nan", "1e400", "-inf", "x", "", "0x10", "1__0", "1\x00", "1d5", "0x1p3"]
 _ODD_ROWS = ["", " ", "\x0c", "# c,1,2", "a,1", "a,1,2,3", "a,1,2\x85b,3,4"]
 _BREAKS = ["\n", "\r\n", "\r"]
 
@@ -212,9 +214,7 @@ _ODD_ROW = st.one_of(
     _vector_rows(st.sampled_from(_TOKENS), st.sampled_from(_VALUES + _ODD_VALUES)))
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 2, ingest.VECTOR_CHUNK_ROWS])
-@given(text=_text(_CLEAN_ROWS, _ODD_ROW))
-def test_parse_vector_table_equals_the_row_loop(chunk_rows, text):
+def _check_vector_table(text):
     # "#a" is a vertex, but a row for it is a comment
     g = build_graph([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h"), ("x", "#a")])
     text = "node,d0,d1\n" + text
@@ -223,21 +223,34 @@ def test_parse_vector_table_equals_the_row_loop(chunk_rows, text):
         v = parse_vector_table(text, g).vectors
         return v.shape, v.view(np.uint64).tolist()
 
+    fast = _outcome(read)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "VECTOR_CHUNK_ROWS", chunk_rows)
-        fast = _outcome(read)
         mp.setattr(ingest, "_vector_block", lambda rows, dim, g: None)
         assert fast == _outcome(read)
+
+
+@given(_text(_CLEAN_ROWS, _ODD_ROW))
+def test_parse_vector_table_equals_the_row_loop(text):
+    _check_vector_table(text)
+
+
+@pytest.mark.slow
+@seed(20261019)
+@settings(max_examples=20000)
+@given(_text(_CLEAN_ROWS, _ODD_ROW))
+def test_parse_vector_table_equals_the_row_loop_long(text):
+    _check_vector_table(text)
 
 
 def test_parse_vector_table_takes_clean_rows_whole():
     g = build_graph([("a", "b"), ("c", "d"), ("x", "#a")])
     want = np.full((g.n, 2), np.nan)
     want[0], want[3] = [10.0, -0.0], [1.0, 2.0]
-    block = ingest._vector_block([" a , 1_0,-0.0", "d,١, 2 "], 2, g)
+    block = ingest._vector_block([" a ,\x8510\x0c,-0.0", "d,\x0c1\x85, 2 "], 2, g)
     assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
-    for rows in [["a,1"], ["a,1,2,3"], ["a,1,2", "a,3,4"], ["zz,1,2"], ["a,nan,1"],
-                 ["a,1e400,1"], ["#a,1,2"], ["a,x,1"], [""]]:
+    # digit groups and non-ASCII digits are left to the row loop's float()
+    for rows in [[], ["a,1"], ["a,1,2,3"], ["a,1,2", "a,3,4"], ["zz,1,2"], ["a,nan,1"],
+                 ["a,1e400,1"], ["#a,1,2"], ["a,x,1"], [""], ["a,1_0,1"], ["a,١,1"]]:
         assert ingest._vector_block(rows, 2, g) is None, rows
 
 
