@@ -47,11 +47,8 @@ def nearest_seed_predictions(g, labels, seeds):
         closer = d < best_dist
         best[closer] = labels[s]
         best_dist[closer] = d[closer]
-    fallback = labels[seed_ids[0]]
-    predicted = {v: int(best[v]) if best[v] >= 0 else int(fallback)
-                 for v in range(g.n)}
-    truth = {v: int(labels[v]) for v in range(g.n)}
-    return make_prediction_table(predicted, truth, "classification")
+    predicted = np.where(best >= 0, best, labels[seed_ids[0]])
+    return make_prediction_table(np.ones(g.n, dtype=bool), predicted, labels, "classification")
 
 
 def main(argv=None) -> int:

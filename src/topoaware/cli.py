@@ -20,7 +20,7 @@ from .evaluate import (aggregate_distance, bound_report, empirical_risk,
                        subgroup_accuracy)
 from .embed import one_hot_features, propagate, synthetic_sbm
 from .graph import Graph, seeded_rng
-from .ingest import (Report, jsonable, load_graph, parse_label_table,
+from .ingest import (LabelTable, Report, jsonable, load_graph, parse_label_table,
                      parse_token_list, parse_vector_table, resolve_labels,
                      resolve_tokens, write_edge_list, write_label_table,
                      write_report, write_token_list, write_vector_table)
@@ -116,6 +116,22 @@ def _parse_start(start_args, g: Graph):
     raise ArgumentError(f"unknown start policy {policy!r}")
 
 
+def _prediction_table(truth_table, pred_table, g: Graph):
+    """The predictions of the vertices both label tables name."""
+    if truth_table.mode != pred_table.mode:
+        raise ArgumentError(f"labels are {truth_table.mode} but predictions are {pred_table.mode}")
+    truth_covered, truth = resolve_labels(truth_table, g)
+    pred_covered, predicted = resolve_labels(pred_table, g)
+    covered = truth_covered & pred_covered
+    for labels in (predicted, truth):  # make_prediction_table would name an id, not a token
+        negative = covered & (labels < 0)
+        if truth_table.mode == "classification" and negative.any():
+            v = int(negative.argmax())
+            raise ArgumentError(f"classification labels must be non-negative ints, "
+                                f"got {labels[v]} at {g.tokens[v]}")
+    return make_prediction_table(covered, predicted, truth, truth_table.mode)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed arguments and the --graph graph (None
 # for synth and verify)
@@ -199,21 +215,7 @@ def cmd_evaluate(args, g) -> int:
         raise ArgumentError(f"--bound-constant must be finite, got {args.bound_constant}")
     seeds = _load_seeds(args.seeds, g)
     truth_table = parse_label_table(_read(args.labels))
-    pred_table = parse_label_table(_read(args.predictions))
-    if truth_table.mode != pred_table.mode:
-        raise ArgumentError(
-            f"labels are {truth_table.mode} but predictions are {pred_table.mode}")
-    truth = resolve_labels(truth_table, g)
-    predicted = resolve_labels(pred_table, g)
-    shared = sorted(set(truth) & set(predicted))
-    if truth_table.mode == "classification":  # make_prediction_table would name an id
-        for labels in (predicted, truth):
-            for v in shared:
-                if labels[v] < 0:
-                    raise ArgumentError(f"classification labels must be non-negative ints, "
-                                        f"got {labels[v]} at {g.tokens[v]}")
-    preds = make_prediction_table({v: predicted[v] for v in shared},
-                                  {v: truth[v] for v in shared}, truth_table.mode)
+    preds = _prediction_table(truth_table, parse_label_table(_read(args.predictions)), g)
     part = partition_by_distance(g, seeds, args.max_hop)
     report = subgroup_accuracy(part, preds)
     evaluated = part.grouped
@@ -267,12 +269,15 @@ def cmd_embed(args, g) -> int:
 
 
 def cmd_synth(args, g) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise ArgumentError(f"--sizes must be comma-separated ints, got {args.sizes!r}") from None
     ds = synthetic_sbm(sizes, args.p_in, args.p_out, args.seed)
     _emit(write_edge_list(ds.graph), args.out)
     if args.labels_out is not None:
-        values = {ds.graph.tokens[v]: int(ds.labels[v]) for v in range(ds.graph.n)}
-        _emit(write_label_table(values, "classification"), args.labels_out)
+        table = LabelTable(ds.graph.tokens, ds.labels, "classification")
+        _emit(write_label_table(table), args.labels_out)
     return EXIT_OK
 
 

@@ -7,57 +7,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, SizeGuardError
+from .errors import ArgumentError
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
-PREDICTION_MAX_ID = 10**7  # a mask and two codes per id: a 162 MiB peak at this id
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
-    """Predicted and true labels as read-only int codes into `values` (equal
-    codes, equal values), one per vertex id; valid where `covered` is set."""
+    """Predicted and true labels as read-only arrays indexed by vertex id;
+    valid where the read-only mask `covered` is set."""
 
     covered: np.ndarray
     predicted: np.ndarray
     truth: np.ndarray
-    values: tuple
     mode: str
 
 
-def make_prediction_table(predicted, truth, mode: str) -> PredictionTable:
-    """Predicted and true labels keyed by the same vertex ids. The mask and
-    the code arrays hold one entry per id up to the largest, so a table's
-    memory grows with its largest id, not with its size; an id above
-    PREDICTION_MAX_ID is a SizeGuardError, raised before they are built."""
+def make_prediction_table(covered, predicted, truth, mode: str) -> PredictionTable:
+    """A prediction table of a bool mask and two int (classification: non-
+    negative where covered) or float label arrays of its length."""
     if mode not in ("classification", "regression"):
         raise ArgumentError(f"mode must be classification or regression, got {mode!r}")
-    pk, tk = set(predicted), set(truth)
-    if pk != tk:
-        raise ArgumentError(
-            f"predicted and truth must cover the same vertices; {len(pk ^ tk)} differ")
-    if mode == "classification":
-        for m in (predicted, truth):
-            for v, y in m.items():
-                if not isinstance(y, (int, np.integer)) or isinstance(y, bool) or y < 0:
-                    raise ArgumentError(
-                        f"classification labels must be non-negative ints, got {y!r} at {v}")
-    try:
-        ids = np.array([int(v) for v in pk], dtype=np.intp)
-    except OverflowError:
-        raise ArgumentError("vertex ids must fit a machine integer") from None
-    if np.any(ids < 0):
-        raise ArgumentError(f"vertex ids must be non-negative, got {int(ids.min())}")
-    if ids.max(initial=0) > PREDICTION_MAX_ID:
-        raise SizeGuardError(f"vertex id {int(ids.max())} exceeds the prediction table "
-                             f"limit of {PREDICTION_MAX_ID}")
-    covered = np.bincount(ids).astype(bool)
-    index: dict = {}  # label value -> code, over both tables
-    codes = np.zeros((2, len(covered)), dtype=np.intp)
-    codes[:, ids] = [[index.setdefault(m[v], len(index)) for v in pk] for m in (predicted, truth)]
-    return PredictionTable(covered=_read_only(covered), predicted=_read_only(codes[0]),
-                           truth=_read_only(codes[1]), values=tuple(index), mode=mode)
+    covered, predicted, truth = np.array(covered), np.array(predicted), np.array(truth)
+    if covered.dtype != bool or covered.ndim != 1:
+        raise ArgumentError("covered must be a one-dimensional bool mask")
+    kinds = "iu" if mode == "classification" else "iuf"  # int, unsigned, float
+    for labels in (predicted, truth):
+        if labels.shape != covered.shape or labels.dtype.kind not in kinds:
+            raise ArgumentError(f"{mode} labels must be of dtype kind {kinds!r} and shape "
+                                f"{covered.shape}, got {labels.dtype} {labels.shape}")
+        negative = covered & (labels < 0)
+        if mode == "classification" and negative.any():
+            v = int(negative.argmax())
+            raise ArgumentError(
+                f"classification labels must be non-negative ints, got {labels[v]} at {v}")
+    return PredictionTable(covered=_read_only(covered), predicted=_read_only(predicted),
+                           truth=_read_only(truth), mode=mode)
 
 
 def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
@@ -73,13 +59,7 @@ def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
         if preds.mode != "classification":
             raise ArgumentError("zero_one loss requires classification mode")
         return np.count_nonzero(p != t) / len(ids)
-    used = np.union1d(p, t)
-    floats = np.zeros(len(preds.values))
-    try:
-        floats[used] = [float(preds.values[c]) for c in used.tolist()]
-    except OverflowError:
-        raise ArgumentError(f"{loss} loss needs labels that fit a float") from None
-    diffs = floats[p] - floats[t]
+    diffs = p.astype(np.float64) - t.astype(np.float64)
     return float(np.mean(np.abs(diffs) if loss == "absolute" else diffs ** 2))
 
 

@@ -233,27 +233,32 @@ def write_vector_table(emb: EmbeddingTable, g: Graph) -> str:
 # label tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelTable:
-    """Per-token targets; mode is classification (all ints) or regression."""
+    """Per-token targets, in file order: int64 values for classification
+    (integer literals), float64 for regression (decimals)."""
 
-    values: dict
+    tokens: tuple
+    values: np.ndarray
     mode: str
 
 
 def parse_label_table(text) -> LabelTable:
     """"node,label" rows: integer literals -> classification, decimals ->
-    regression; mixing the two or repeating a token is an error."""
+    regression; mixing the two, repeating a token or an integer outside
+    int64 is an error."""
     lines = _lines(text)
     if not lines or lines[0].strip() != "node,label":
         raise ParseError('header must be "node,label"', line_number=1)
-    values: dict = {}
+    seen, tokens, values = set(), [], []
     mode: str | None = None
     for ln, (token, label) in _rows(lines[1:], ",", 2, "fields", start=2):
-        if token in values:
+        if token in seen:
             raise ParseError(f"duplicate token {token!r}", line_number=ln, token=token)
-        if _INT_RE.match(label):
-            kind, value = "classification", int(label)
+        if _INT_RE.match(label):  # int() refuses more than 4300 digits
+            kind, value = "classification", int(label) if len(label) < 4300 else 2**63
+            if not -2**63 <= value < 2**63:
+                raise ParseError("integer label outside int64", line_number=ln, token=token)
         else:
             try:
                 value = float(label)
@@ -269,25 +274,30 @@ def parse_label_table(text) -> LabelTable:
             raise ParseError(
                 f"mixed integer and decimal labels ({mode} then {kind})",
                 line_number=ln, token=token)
-        values[token] = value
+        seen.add(token)
+        tokens.append(token)
+        values.append(value)
     if mode is None:
         raise ParseError("no label rows", line_number=len(lines) or 1)
-    return LabelTable(values=values, mode=mode)
+    dtype = np.int64 if mode == "classification" else np.float64
+    return LabelTable(tokens=tuple(tokens), values=np.array(values, dtype=dtype), mode=mode)
 
 
-def write_label_table(values, mode: str) -> str:
-    """Rows sorted by token; ints for classification, float repr otherwise."""
-    out = ["node,label"]
-    for token in sorted(values):
-        v = values[token]
-        out.append(f"{token},{int(v)}" if mode == "classification" else f"{token},{float(v)!r}")
-    return "\n".join(out) + "\n"
+def write_label_table(table: LabelTable) -> str:
+    """Rows sorted by token, each label as its repr (an int, or the shortest
+    float that reads back exactly)."""
+    rows = sorted(zip(table.tokens, table.values.tolist()))
+    return "node,label\n" + "".join(f"{token},{v!r}\n" for token, v in rows)
 
 
-def resolve_labels(table: LabelTable, g: Graph) -> dict:
-    """Token-keyed labels -> dense-id-keyed; unknown tokens are an error."""
-    ids = resolve_tokens(list(table.values), g)
-    return {i: table.values[t] for i, t in zip(ids, table.values)}
+def resolve_labels(table: LabelTable, g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(covered, labels): a mask of the vertices the table names and their
+    labels (0 elsewhere), both indexed by vertex id; unknown tokens are an
+    error."""
+    ids = resolve_tokens(table.tokens, g)
+    covered, labels = np.zeros(g.n, dtype=bool), np.zeros(g.n, dtype=table.values.dtype)
+    covered[ids], labels[ids] = True, table.values
+    return covered, labels
 
 
 # ---------------------------------------------------------------------------

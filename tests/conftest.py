@@ -22,6 +22,13 @@ def id_graph(n, edges):
     return build_graph(pairs)
 
 
+def label_table(values, mode="classification"):
+    """A LabelTable of a token -> label dict, in the dict's order."""
+    from topoaware import LabelTable
+
+    return LabelTable(tuple(values), np.array(list(values.values())), mode)
+
+
 def path_graph(n):
     return id_graph(n, [(i, i + 1) for i in range(n - 1)])
 

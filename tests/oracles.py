@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from collections import deque
 
@@ -245,7 +246,7 @@ def point_to_set_loop(emb, vs, seed_ids, mode):
 
 
 # ---------------------------------------------------------------------------
-# hop groups and prediction tables as sets and dicts
+# hop groups, label tables and prediction tables as sets and dicts
 
 
 def frozenset_partition(dist, max_hop):
@@ -270,8 +271,7 @@ def dict_missing(predicted, subset):
 
 def dict_risk(predicted, truth, subset, loss):
     """Mean per-vertex loss over sorted(subset), read from the predicted and
-    true label dicts; every subset vertex must be a key. The float
-    conversion raises OverflowError for a label too large for a float."""
+    true label dicts; every subset vertex must be a key."""
     ids = sorted({int(v) for v in subset})
     if loss == "zero_one":
         return float(np.mean([1.0 if predicted[v] != truth[v] else 0.0 for v in ids]))
@@ -288,6 +288,86 @@ def dict_subgroup_accuracy(partition, predicted, truth):
     accs = [acc for _, acc, _ in rows]
     md = float(max(accs) - min(accs)) if len(accs) >= 2 else 0.0
     return rows, float(train), md
+
+
+class Rejected(Exception):
+    """An input the dict label chain refuses. `kind` names the library error
+    class that stands for it and `line` is a parse error's 1-based line;
+    str() is the library's message."""
+
+    def __init__(self, kind, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.kind, self.line = kind, line
+
+
+def dict_label_table(text):
+    """(token -> label dict, mode) of a "node,label" table, one row at a
+    time: int() of an integer literal (classification), float() of a
+    decimal (regression)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = lines[:-1] if lines[-1] == "" else lines
+    if not lines or lines[0].strip() != "node,label":
+        raise Rejected("ParseError", 'header must be "node,label"', 1)
+    values, mode = {}, None
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2:
+            raise Rejected("ParseError", f"expected 2 fields, found {len(fields)}", ln)
+        token, label = fields
+        if token in values:
+            raise Rejected("ParseError", f"duplicate token {token!r}", ln)
+        if re.match(r"^[+-]?\d+$", label):
+            kind, value = "classification", int(label)
+        else:
+            try:
+                value = float(label)
+            except ValueError:
+                raise Rejected("ParseError", f"non-numeric label {label!r}", ln) from None
+            if not math.isfinite(value):
+                raise Rejected("ParseError", "non-finite label", ln)
+            kind = "regression"
+        if mode is None:
+            mode = kind
+        elif mode != kind:
+            raise Rejected("ParseError",
+                           f"mixed integer and decimal labels ({mode} then {kind})", ln)
+        values[token] = value
+    if mode is None:
+        raise Rejected("ParseError", "no label rows", len(lines) or 1)
+    return values, mode
+
+
+def dict_prediction_chain(truth_text, pred_text, tokens):
+    """(mode, predicted, truth) of two label tables over a graph with the
+    given id -> token list, through dicts: both tables parsed, their modes
+    compared, each resolved to an id-keyed dict (truth first; an unknown
+    token is a coverage error), both cut to their shared ids, and a negative
+    class label refused by its token."""
+    truth_values, truth_mode = dict_label_table(truth_text)
+    pred_values, pred_mode = dict_label_table(pred_text)
+    if truth_mode != pred_mode:
+        raise Rejected("ArgumentError", f"labels are {truth_mode} but predictions are {pred_mode}")
+    index = {t: v for v, t in enumerate(tokens)}
+    resolved = []
+    for values in (truth_values, pred_values):
+        unknown = [t for t in values if t not in index]
+        if unknown:
+            more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
+            raise Rejected("CoverageError",
+                           f"unknown vertex tokens: {', '.join(unknown[:10])}{more}")
+        resolved.append({index[t]: y for t, y in values.items()})
+    truth, predicted = resolved
+    shared = sorted(set(truth) & set(predicted))
+    if truth_mode == "classification":
+        for labels in (predicted, truth):
+            for v in shared:
+                if labels[v] < 0:
+                    raise Rejected("ArgumentError", "classification labels must be "
+                                   f"non-negative ints, got {labels[v]} at {tokens[v]}")
+    return truth_mode, {v: predicted[v] for v in shared}, {v: truth[v] for v in shared}
 
 
 def hop_rows_by_mask(gd, ed):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import er_graph, id_graph
+from conftest import er_graph, id_graph, label_table
 from topoaware import (ArgumentError, EmbeddingTable, Report,
                        brute_force_kcenter, build_graph, empirical_risk,
                        estimate_distortion, group_distance, group_distance_point,
@@ -195,12 +195,11 @@ def test_criterion_05_risk_ordering_harness(verdict):
         # closest anchor in embedding space
         anchor_ids = sorted(anchors)
         anchor_vecs = emb.vectors[anchor_ids]
-        predicted = {}
+        predicted = np.empty(g.n)
         for v in range(g.n):
             gaps = np.linalg.norm(anchor_vecs - emb.vectors[v], axis=1)
-            predicted[v] = float(y[anchor_ids[int(np.argmin(gaps))]])
-        preds = make_prediction_table(predicted, {v: float(y[v]) for v in range(g.n)},
-                                      "regression")
+            predicted[v] = y[anchor_ids[int(np.argmin(gaps))]]
+        preds = make_prediction_table(np.ones(g.n, dtype=bool), predicted, y, "regression")
         part = partition_by_distance(g, anchors, max_hop=5)
         risks = [(k, empirical_risk(preds, np.flatnonzero(part.dist == k), "absolute"))
                  for k in range(1, len(part.counts))]
@@ -346,14 +345,12 @@ def test_criterion_09_determinism_and_round_trips(verdict, tmp_path, capsys):
         tokens = [gr.tokens[v] for v in ids]
         if parse_token_list(write_token_list(tokens)) != tokens:
             problems.append(f"token list trial {trial}")
-        cls = {gr.tokens[v]: int(rng.integers(5)) for v in ids}
-        back_cls = parse_label_table(write_label_table(cls, "classification"))
-        if back_cls.values != cls or back_cls.mode != "classification":
-            problems.append(f"classification labels trial {trial}")
-        reg = {gr.tokens[v]: float(rng.normal()) for v in ids}
-        back_reg = parse_label_table(write_label_table(reg, "regression"))
-        if back_reg.values != reg or back_reg.mode != "regression":
-            problems.append(f"regression labels trial {trial}")
+        for mode, draw in (("classification", lambda: int(rng.integers(5))),
+                           ("regression", lambda: float(rng.normal()))):
+            labels = {t: draw() for t in tokens}
+            back = parse_label_table(write_label_table(label_table(labels, mode)))
+            if dict(zip(back.tokens, back.values.tolist())) != labels or back.mode != mode:
+                problems.append(f"{mode} labels trial {trial}")
         rep = Report(parameters={"rng_seed": trial, "k": k},
                      payload_kind="partition",
                      payload=jsonable({"value": float(rng.normal()),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import topoaware
-from conftest import id_graph
+from conftest import id_graph, label_table
 from topoaware import (build_graph, cli, errors, one_hot_features, parse_edge_list,
                        parse_label_table, parse_report, parse_token_list,
                        parse_vector_table, propagate, synthetic_sbm,
@@ -235,7 +235,16 @@ def test_synth_deterministic_and_labelled(capsys, tmp_path):
     assert build_graph(parse_edge_list(edge_a.read_text())) == ds.graph
     table = parse_label_table(labels_a.read_text())
     assert table.mode == "classification"
-    assert table.values["v0"] == 0 and table.values["v11"] == 1
+    labels = dict(zip(table.tokens, table.values.tolist()))
+    assert labels["v0"] == 0 and labels["v11"] == 1
+
+
+@pytest.mark.parametrize("sizes", ["a,b", "3.5"])
+def test_synth_non_int_sizes_is_usage_error(capsys, sizes):
+    code, out, err = run(capsys, ["synth", "--sizes", sizes, "--p-in", "0.5",
+                                  "--p-out", "0.1", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --sizes must be comma-separated ints, got {sizes!r}\n"
 
 
 def test_synth_rejects_bad_probabilities(capsys):
@@ -302,11 +311,10 @@ def evaluate_workspace(tmp_path):
     seeds = tmp_path / "seeds.txt"
     seeds.write_text(write_token_list(["v0"]))
     truth = tmp_path / "truth.csv"
-    truth.write_text(write_label_table({f"v{i}": 1 for i in range(5)},
-                                       "classification"))
+    truth.write_text(write_label_table(label_table({f"v{i}": 1 for i in range(5)})))
     preds = tmp_path / "preds.csv"
     preds.write_text(write_label_table(
-        {"v0": 1, "v1": 1, "v2": 1, "v3": 0, "v4": 0}, "classification"))
+        label_table({"v0": 1, "v1": 1, "v2": 1, "v3": 0, "v4": 0})))
     return graph, seeds, truth, preds
 
 

@@ -2,10 +2,10 @@
 
 Each case damages one input file of one file-reading command (bytes deleted,
 inserted or cut off; a BOM, NUL, CR, form feed, NEL, `nan`, `1e400`, a huge
-int, a stray comma, a `#` or an invalid UTF-8 byte put in) and runs
-`cli.main` on it three times: twice as is, and once with every whole-buffer
-read (the packed-key graph read and the vector block) turned off, so the row
-loop reads every file. The exit code must be 0, 2, 3, 4 or 5, stderr empty or
+int, 2**63, a minus sign, a stray comma, a `#` or an invalid UTF-8 byte put
+in) and runs `cli.main` on it three times: twice as is, and once with every
+whole-buffer read (the packed-key graph read and the vector block) turned
+off, so the row loop reads every file. The exit code must be 0, 2, 3, 4 or 5, stderr empty or
 one line, and all three runs byte-identical.
 The long run is marked `slow` and deselected by default:
 
@@ -38,7 +38,7 @@ COMMANDS = (
     ["embed", "--graph", "graph.txt", "--features", "embeddings.csv", "--layers", "1"],
 )
 INSERTS = (b"\xef\xbb\xbf", b"\x00", b"\r", b"\x0c", "\x85".encode(), b"nan", b"1e400",
-           b"9" * 400, b",", b"#", b"\xff")
+           b"9" * 400, b"9223372036854775808", b"-", b",", b"#", b"\xff")
 EXIT_CODES = {0, 2, 3, 4, 5}
 
 

@@ -1,23 +1,35 @@
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import er_graph, id_graph, path_graph
-from topoaware import (ArgumentError, CoverageError, EmbeddingTable, SizeGuardError,
-                       aggregate_distance, bound_report, empirical_risk, estimate_distortion,
-                       evaluate, format_acc_md, hop_embedding_profile, make_prediction_table,
-                       multi_source_bfs, ordering_check,
-                       paired_distances_for_distortion, partition_by_distance,
-                       subgroup_accuracy, trial_grouping)
+from topoaware import (ArgumentError, CoverageError, EmbeddingTable, TopoawareError,
+                       aggregate_distance, bound_report, cli, empirical_risk,
+                       estimate_distortion, format_acc_md, hop_embedding_profile,
+                       make_prediction_table, multi_source_bfs, ordering_check,
+                       paired_distances_for_distortion, parse_label_table,
+                       partition_by_distance, subgroup_accuracy, trial_grouping)
+from topoaware.evaluate import LOSSES
 
 
 def table(predicted, truth, mode="classification"):
-    return make_prediction_table(predicted, truth, mode)
+    """The prediction table of two label dicts keyed by the same ids."""
+    assert predicted.keys() == truth.keys()
+    ids = list(predicted)
+    covered = np.zeros(max(ids, default=-1) + 1, dtype=bool)
+    covered[ids] = True
+    labels = []
+    for m in (predicted, truth):
+        values = np.array([m[v] for v in ids])
+        labels.append(np.zeros(len(covered), dtype=values.dtype))
+        labels[-1][ids] = values
+    return make_prediction_table(covered, *labels, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -25,26 +37,33 @@ def table(predicted, truth, mode="classification"):
 
 
 def test_table_requires_matching_keys_and_mode():
-    with pytest.raises(ArgumentError):
-        make_prediction_table({0: 1}, {1: 1}, "classification")
-    with pytest.raises(ArgumentError):
-        make_prediction_table({0: 1}, {0: 1}, "ranking")
-    with pytest.raises(ArgumentError):
-        make_prediction_table({0: -1}, {0: 1}, "classification")
-    with pytest.raises(ArgumentError):
-        make_prediction_table({0: 0.5}, {0: 1}, "classification")
-    with pytest.raises(ArgumentError, match="machine integer"):
-        make_prediction_table({2**70: 1}, {2**70: 1}, "classification")
+    mask, ones = np.ones(2, dtype=bool), np.ones(2, dtype=np.int64)
+    for covered, predicted, truth, mode, message in [
+        (mask, ones, ones, "ranking", "mode must be"),
+        (np.ones(2, dtype=np.int64), ones, ones, "classification", "bool mask"),
+        (mask, ones[:1], ones, "classification", "and shape \\(2,\\)"),
+        (mask, ones, np.ones((2, 1), dtype=np.int64), "regression", "and shape \\(2,\\)"),
+        (mask, ones, ones.astype(float), "classification", "got float64"),
+        (mask, ones.astype(bool), ones, "regression", "got bool"),
+        (mask, ones.astype(object), ones, "regression", "got object"),
+        (mask, ones, np.array([1, -1]), "classification", "got -1 at 1"),
+    ]:
+        with pytest.raises(ArgumentError, match=message):
+            make_prediction_table(covered, predicted, truth, mode)
+    # only covered class labels must be non-negative; regression labels may be negative
+    t = make_prediction_table([True, False], [1, -1], [1, -5], "classification")
+    assert t.covered.tolist() == [True, False] and t.truth.tolist() == [1, -5]
+    assert make_prediction_table(mask, -ones, ones, "regression").predicted.tolist() == [-1, -1]
 
 
-def test_prediction_id_size_guard_fires_before_allocation(monkeypatch):
-    # ids 2**62 and 2**40 escaped as a numpy ValueError and a MemoryError
-    calls = []
-    monkeypatch.setattr(evaluate.np, "bincount", lambda *a, **k: calls.append(a))
-    top = evaluate.PREDICTION_MAX_ID + 1
-    with pytest.raises(SizeGuardError, match=f"vertex id {top} exceeds"):
-        make_prediction_table({0: 1, top: 1}, {0: 1, top: 0}, "classification")
-    assert calls == []
+def test_table_arrays_are_read_only_copies():
+    covered, labels = np.ones(3, dtype=bool), np.arange(3)
+    t = make_prediction_table(covered, labels, labels, "classification")
+    labels[0] = 9
+    assert t.predicted.tolist() == t.truth.tolist() == [0, 1, 2]
+    for a in (t.covered, t.predicted, t.truth):
+        with pytest.raises(ValueError):
+            a[0] = a[1]
 
 
 def test_risk_all_correct_and_half():
@@ -67,14 +86,6 @@ def test_risk_absolute_and_squared():
     t = table({0: 1.0, 1: 3.0}, {0: 2.0, 1: 1.0}, mode="regression")
     assert empirical_risk(t, {0, 1}, "absolute") == pytest.approx(1.5)
     assert empirical_risk(t, {0, 1}, "squared") == pytest.approx(2.5)
-
-
-def test_risk_labels_too_large_for_a_float():
-    t = table({0: 10**400, 1: 1}, {0: 1, 1: 1}, mode="regression")
-    for loss in ("absolute", "squared"):
-        with pytest.raises(ArgumentError, match=f"{loss} loss"):
-            empirical_risk(t, {0, 1}, loss)
-    assert empirical_risk(table({0: 10**400}, {0: 10**400}), {0}, "zero_one") == 0.0
 
 
 def test_risk_guards():
@@ -165,9 +176,34 @@ def test_subgroup_needs_classification_and_coverage():
         subgroup_accuracy(part, short)
 
 
-# the labels drawn for the array-against-dict comparison: huge ints stay
-# exact in zero-one loss, and overflow a float in the other two
-_LABELS = [0, 1, 2, 10**400, 10**400 + 1]
+def assert_matches_dicts(part, max_hop, preds, predicted, truth, subset):
+    """subgroup_accuracy (in classification mode) and every loss's
+    empirical_risk over `subset` equal the dict oracles' on the id-keyed
+    labels, or raise the CoverageError naming the same ids."""
+    old = oracles.frozenset_partition(part.dist, max_hop)
+    runs = [(subset, lambda loss=loss: empirical_risk(preds, subset, loss),
+             lambda loss=loss: oracles.dict_risk(predicted, truth, subset, loss))
+            for loss in LOSSES if loss != "zero_one" or preds.mode == "classification"]
+    if preds.mode == "classification":
+        def accuracy():
+            rep = subgroup_accuracy(part, preds)
+            return rep.per_hop, rep.train_accuracy, rep.max_discrepancy
+
+        runs.append((part.within, accuracy,
+                     lambda: oracles.dict_subgroup_accuracy(old, predicted, truth)))
+    for ids, got, want in runs:
+        missing = oracles.dict_missing(predicted, ids)
+        if missing:
+            with pytest.raises(CoverageError) as err:
+                got()
+            assert err.value.missing == tuple(missing)
+        else:
+            assert got() == want()
+
+
+# the labels drawn for the array-against-dict comparison: the last two are
+# distinct ints, equal as floats
+_LABELS = [0, 1, 2, 2**63 - 2, 2**63 - 1]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -188,33 +224,104 @@ def test_tables_match_the_set_and_dict_forms(seed):
     kept = [v for v in range(n) if rng.random() > 0.1]
     truth = {v: _LABELS[int(rng.integers(len(_LABELS)))] for v in kept}
     predicted = {v: _LABELS[int(rng.integers(len(_LABELS)))] for v in kept}
-    preds = table(predicted, truth)
-    missing = oracles.dict_missing(predicted, np.flatnonzero(part.dist <= max_hop))
-    if missing:
-        with pytest.raises(CoverageError) as err:
-            subgroup_accuracy(part, preds)
-        assert err.value.missing == tuple(missing)
-    else:
-        rep = subgroup_accuracy(part, preds)
-        want = oracles.dict_subgroup_accuracy(old, predicted, truth)
-        assert (rep.per_hop, rep.train_accuracy, rep.max_discrepancy) == want
-
     subset = {int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)))}
-    missing = oracles.dict_missing(predicted, subset)
-    reg = table(predicted, truth, mode="regression")
-    for loss, t in (("zero_one", preds), ("absolute", reg), ("squared", reg)):
-        if missing:
-            with pytest.raises(CoverageError) as err:
-                empirical_risk(t, subset, loss)
-            assert err.value.missing == tuple(missing)
+    for mode in ("classification", "regression"):
+        preds = table(predicted, truth, mode)
+        assert_matches_dicts(part, max_hop, preds, predicted, truth, subset)
+
+
+# label-table rows for the comparison with the dict chain
+_INT_LABELS = ["0", "1", "2", "+2", "007", str(2**63 - 2), str(2**63 - 1)]
+_DECIMAL_LABELS = ["0.5", "-1.25", "2.0", "1e3", "-0.0", "3.25"]
+_ODD_LABELS = {"outside int64": [str(2**63), str(-2**63 - 1), "9" * 30],
+               "bad label": ["nan", "inf", "one", ""], "negative": ["-1", "-3", str(-2**63)]}
+_CHAIN_GRAPH = path_graph(6)
+
+
+@st.composite
+def label_text(draw, pool):
+    """A "node,label" table over v0..v5 (shuffled, a few rows dropped) with
+    labels from `pool`, changed in most draws: one row more (a repeated or
+    unknown token, a label of the other mode, three fields, a blank or a
+    comment) or one row's label odd (outside int64, not a finite number,
+    negative)."""
+    known = list(_CHAIN_GRAPH.tokens)
+    tokens = draw(st.permutations(known))[:len(known) - draw(st.sampled_from([0, 0, 1, 3]))]
+    rows = [f"{t},{draw(st.sampled_from(pool))}" for t in tokens]
+    other = _DECIMAL_LABELS if pool is _INT_LABELS else _INT_LABELS
+    extra = [f"{draw(st.sampled_from(tokens or known))},{draw(st.sampled_from(pool))}",
+             f"zz,{draw(st.sampled_from(pool))}",
+             f"{draw(st.sampled_from(known))},{draw(st.sampled_from(other))}",
+             "v1,1,2", draw(st.sampled_from(["", "# note"]))]
+    odd = [draw(st.sampled_from(labels)) for labels in _ODD_LABELS.values()]
+    change = draw(st.integers(0, len(extra) + len(odd) + 7))
+    if change < len(extra):
+        rows.insert(draw(st.integers(0, len(rows))), extra[change])
+    elif change < len(extra) + len(odd) and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = f"{tokens[i]},{odd[change - len(extra)]}"
+    return "node,label\n" + "".join(r + "\n" for r in rows)
+
+
+def first_outside_int64(text):
+    """The line of the first row whose int label is outside int64 and whose
+    token is new, or None."""
+    seen = set()
+    for ln, line in enumerate(text.split("\n")[1:], start=2):
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != 2 or line.strip().startswith("#"):
             continue
-        try:
-            want = oracles.dict_risk(predicted, truth, subset, loss)
-        except OverflowError:
-            with pytest.raises(ArgumentError, match=f"{loss} loss"):
-                empirical_risk(t, subset, loss)
-        else:
-            assert empirical_risk(t, subset, loss) == want
+        if fields[0] not in seen and re.match(r"^[+-]?\d+$", fields[1]):
+            if not -2**63 <= int(fields[1]) < 2**63:
+                return ln
+        seen.add(fields[0])
+    return None
+
+
+def dict_chain(truth_text, pred_text):
+    """The dict chain's result or Rejected error, with one change: each
+    table's first out-of-int64 row is a parse error unless an earlier line
+    already is one."""
+    try:
+        for text in (truth_text, pred_text):
+            line = first_outside_int64(text)
+            try:
+                oracles.dict_label_table(text)
+            except oracles.Rejected as err:
+                if line is None or err.line < line:
+                    raise
+            if line is not None:
+                raise oracles.Rejected("ParseError", "integer label outside int64", line)
+        return oracles.dict_prediction_chain(truth_text, pred_text, _CHAIN_GRAPH.tokens)
+    except oracles.Rejected as err:
+        return err
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([_INT_LABELS, _DECIMAL_LABELS]), st.data())
+def test_label_arrays_match_the_dict_chain(pool, data):
+    # the predictions take the other mode now and then
+    pred_pool = data.draw(st.sampled_from([pool] * 7 + [_INT_LABELS, _DECIMAL_LABELS]))
+    truth_text, pred_text = data.draw(label_text(pool)), data.draw(label_text(pred_pool))
+    want = dict_chain(truth_text, pred_text)
+    try:
+        truth_table = parse_label_table(truth_text)
+        preds = cli._prediction_table(truth_table, parse_label_table(pred_text), _CHAIN_GRAPH)
+    except TopoawareError as err:
+        assert isinstance(want, oracles.Rejected), err
+        assert (type(err).__name__, str(err)) == (want.kind, str(want))
+        return
+    assert not isinstance(want, oracles.Rejected), want
+    mode, predicted, truth = want
+    ids = sorted(predicted)
+    assert preds.mode == mode and np.flatnonzero(preds.covered).tolist() == ids
+    assert preds.predicted[ids].tolist() == [predicted[v] for v in ids]
+    assert preds.truth[ids].tolist() == [truth[v] for v in ids]
+    seeds = data.draw(st.sets(st.integers(0, 5), min_size=1))
+    max_hop = data.draw(st.integers(1, 4))
+    subset = data.draw(st.sets(st.integers(0, 5), min_size=1))
+    part = partition_by_distance(_CHAIN_GRAPH, seeds, max_hop=max_hop)
+    assert_matches_dicts(part, max_hop, preds, predicted, truth, subset)
 
 
 def test_risk_negative_and_past_the_end_ids_are_uncovered():
@@ -224,8 +331,6 @@ def test_risk_negative_and_past_the_end_ids_are_uncovered():
         with pytest.raises(CoverageError) as err:
             empirical_risk(t, subset, "zero_one")
         assert err.value.missing == missing
-    with pytest.raises(ArgumentError):
-        table({-1: 1}, {-1: 1})
 
 
 def test_large_max_hop_costs_nothing_per_hop():

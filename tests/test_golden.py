@@ -83,7 +83,7 @@ for _stem, _code in [("missing_header", 3), ("bad_header", 3), ("field_count", 3
     _BAD_INPUTS[f"bad_features_{_stem}"] = (
         ["embed", "--graph", "small.txt", "--features", f"bad/features_{_stem}.csv"], _code)
 for _stem in ["bad_header", "field_count", "duplicate", "non_numeric", "non_finite",
-              "mixed_modes", "no_rows"]:
+              "mixed_modes", "no_rows", "int_range"]:
     _BAD_INPUTS[f"bad_labels_{_stem}"] = (
         ["evaluate", *_INPUTS, "--labels", f"bad/labels_{_stem}.csv",
          "--predictions", "predictions.csv"], 3)

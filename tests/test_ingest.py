@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 import oracles
-from conftest import er_graph, path_graph
+from conftest import er_graph, label_table, path_graph
 from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
                        ParseError, Report, TopoawareError, build_graph, ingest,
                        jsonable, load_graph, parse_edge_list, parse_label_table,
@@ -371,10 +371,13 @@ def test_vector_table_writer_matches_per_element_repr(data):
 
 
 def test_label_table_modes():
-    t = parse_label_table("node,label\nb,2\na,0\n")
-    assert t.mode == "classification" and t.values == {"b": 2, "a": 0}
+    t = parse_label_table(f"node,label\nb,2\na,0\nc,{2**63 - 1}\nd,{-2**63}\n")
+    assert (t.mode, t.tokens, t.values.dtype) == ("classification", ("b", "a", "c", "d"),
+                                                  np.int64)
+    assert t.values.tolist() == [2, 0, 2**63 - 1, -2**63]
     t2 = parse_label_table("node,label\na,0.5\n")
-    assert t2.mode == "regression" and t2.values == {"a": 0.5}
+    assert (t2.mode, t2.tokens, t2.values.dtype) == ("regression", ("a",), np.float64)
+    assert t2.values.tolist() == [0.5]
 
 
 def test_label_table_errors():
@@ -386,6 +389,9 @@ def test_label_table_errors():
         ("node,label\na,inf\n", 2),
         ("node,label\na,1\nb,0.5\n", 3),
         ("node,label\n", 1),
+        ("node,label\na,9223372036854775808\n", 2),
+        ("node,label\na,1\nb,-9223372036854775809\n", 3),
+        (f"node,label\na,{'9' * 5000}\n", 2),  # beyond what int() converts
     ]:
         with pytest.raises(ParseError) as ei:
             parse_label_table(text)
@@ -419,21 +425,23 @@ def test_only_crlf_cr_and_lf_end_lines(brk):
 
 
 def test_label_table_round_trip():
-    values = {"v1": 3, "v0": 0, "v2": 7}
-    back = parse_label_table(write_label_table(values, "classification"))
-    assert back.values == values and back.mode == "classification"
-    reg = {"a": 0.1, "b": -2.5}
-    back2 = parse_label_table(write_label_table(reg, "regression"))
-    assert back2.values == reg and back2.mode == "regression"
+    for values, mode in (({"v1": 3, "v0": 0, "v2": 2**63 - 1}, "classification"),
+                         ({"a": 0.1, "b": -2.5}, "regression")):
+        back = parse_label_table(write_label_table(label_table(values, mode)))
+        assert dict(zip(back.tokens, back.values.tolist())) == values and back.mode == mode
+        assert back.tokens == tuple(sorted(values))
 
 
 def test_resolve_labels():
-    g = build_graph([("a", "b")])
-    table = parse_label_table("node,label\nb,1\na,0\n")
-    assert resolve_labels(table, g) == {1: 1, 0: 0}
-    bad = parse_label_table("node,label\nzz,1\n")
-    with pytest.raises(CoverageError):
+    g = build_graph([("a", "b"), ("c", "c")])
+    covered, labels = resolve_labels(parse_label_table("node,label\nb,1\na,0\n"), g)
+    assert covered.tolist() == [True, True, False] and labels.tolist() == [0, 1, 0]
+    covered, labels = resolve_labels(parse_label_table("node,label\nc,0.5\n"), g)
+    assert covered.tolist() == [False, False, True] and labels.tolist() == [0.0, 0.0, 0.5]
+    bad = parse_label_table("node,label\nzz,1\nyy,2\n")
+    with pytest.raises(CoverageError) as err:
         resolve_labels(bad, g)
+    assert err.value.missing == ("zz", "yy")
 
 
 # ---------------------------------------------------------------------------
