@@ -11,6 +11,9 @@ from .graph import Graph, _id_graph, degrees, seeded_rng
 from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
 ONE_HOT_MAX_N = 5000  # one n x n float64 copy is 200 MB at this size
+# one draw per vertex pair: 5 * 10**9 draws at this size, about 45 s at the
+# 1.1 * 10**8 draws/s measured at 6000 and 20000 vertices (2-vCPU x86)
+SBM_MAX_N = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,8 @@ def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticD
     """Stochastic block model: intra-block edges with probability p_in,
     inter-block with p_out; labels are block ids; tokens are v0..v{n-1} in id
     order (isolated vertices included). Memory is O(n + m): the pairs are
-    drawn one row at a time."""
+    drawn one row at a time. Above SBM_MAX_N vertices it raises
+    SizeGuardError before any allocation."""
     sizes = [int(s) for s in sizes]
     if not sizes or any(s < 1 for s in sizes):
         raise ArgumentError("sizes must be a non-empty list of positive integers")
@@ -61,6 +65,10 @@ def synthetic_sbm(sizes, p_in: float, p_out: float, rng_seed: int) -> SyntheticD
         raise ArgumentError(
             f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
     n = sum(sizes)
+    if n > SBM_MAX_N:
+        raise SizeGuardError(
+            f"a block model of {n} vertices exceeds the {SBM_MAX_N}-vertex limit of "
+            "one draw per vertex pair")
     labels = np.repeat(np.arange(len(sizes)), sizes)
     rng = seeded_rng(rng_seed)
     partners = []

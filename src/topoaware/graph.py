@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import ArgumentError, BoundsError, EmptyGraphError, SizeGuardError
 
@@ -33,15 +33,15 @@ def seeded_rng(seed) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph as one read-only symmetric scipy CSR matrix
-    with every stored entry 1.0.
+    """Undirected simple graph as read-only symmetric CSR arrays.
 
-    The neighbors of v are csr.indices[csr.indptr[v]:csr.indptr[v+1]],
-    sorted ascending. `tokens[i]` is the external name of dense id i; ids
-    are assigned in first-seen order.
+    The neighbors of v are indices[indptr[v]:indptr[v+1]], sorted
+    ascending. `tokens[i]` is the external name of dense id i; ids are
+    assigned in first-seen order.
     """
 
-    csr: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
     tokens: tuple[str, ...]
     token_index: dict[str, int] = field(repr=False)
 
@@ -51,16 +51,26 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self.csr.nnz // 2
+        return self.indices.size // 2
+
+    @cached_property
+    def csr(self):
+        """The arrays as a scipy CSR matrix with every stored entry 1.0, for
+        the C sparse kernels; scipy is imported on first use, never by a load."""
+        import scipy.sparse as sp
+
+        data = np.ones(self.indices.size)
+        data.setflags(write=False)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     def neighbors_of(self, v: int) -> np.ndarray:
-        return self.csr.indices[self.csr.indptr[v] : self.csr.indptr[v + 1]]
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def edge_token_pairs(self):
         """Edges as (token, token) with u < v in dense-id order."""
         us = np.repeat(np.arange(self.n), degrees(self))
-        upper = us < self.csr.indices
-        for u, v in zip(us[upper].tolist(), self.csr.indices[upper].tolist()):
+        upper = us < self.indices
+        for u, v in zip(us[upper].tolist(), self.indices[upper].tolist()):
             yield self.tokens[u], self.tokens[v]
 
     def __eq__(self, other) -> bool:
@@ -69,8 +79,11 @@ class Graph:
             return NotImplemented
         if set(self.tokens) != set(other.tokens):
             return False
-        order = [other.token_index[t] for t in self.tokens]
-        return (self.csr != other.csr[order][:, order]).nnz == 0
+        # arc keys u * n + v in other's ids; other's own are sorted already
+        ids = np.array([other.token_index[t] for t in self.tokens], dtype=np.int64)
+        mine = np.sort(np.repeat(ids, degrees(self)) * self.n + ids[self.indices])
+        return np.array_equal(mine, np.repeat(np.arange(other.n), degrees(other)) * other.n
+                              + other.indices)
 
 
 def build_graph(edge_tokens) -> Graph:
@@ -103,19 +116,23 @@ def _id_graph(n: int, u, v) -> Graph:
 
 
 def _csr_graph(index: dict, u, v) -> Graph:
-    """The one place a Graph's matrix is built, from the token -> id map and
+    """The one place a Graph's arrays are built, from the token -> id map and
     two id arrays: self-loops are dropped, a repeated pair is kept once and
-    every array is read-only."""
+    every array is read-only. Both arcs of each pair are packed as u * n + v
+    keys and sorted once; the index dtype is scipy's COO -> CSR choice,
+    int32 unless n or the arc count needs int64."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     keep = u != v
     u, v = u[keep], v[keep]
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     n = len(index)
-    csr = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    csr.data[:] = 1.0  # duplicate edges were summed
-    for arr in (csr.data, csr.indices, csr.indptr):
+    keys = _distinct(np.concatenate([u * n + v, v * n + u]))
+    dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
+    rows, cols = np.divmod(keys, n)
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(dtype)
+    indices = cols.astype(dtype)
+    for arr in (indptr, indices):
         arr.setflags(write=False)
-    return Graph(csr=csr, tokens=tuple(index), token_index=index)
+    return Graph(indptr=indptr, indices=indices, tokens=tuple(index), token_index=index)
 
 
 def _check_sources(g: Graph, sources) -> np.ndarray:
@@ -127,20 +144,27 @@ def _check_sources(g: Graph, sources) -> np.ndarray:
     return np.asarray(src, dtype=np.int64)
 
 
-def multi_source_bfs(g: Graph, sources) -> np.ndarray:
-    """result[v] = min hop distance from v to any source; UNREACHABLE across
-    components. The sources are exactly the vertices at distance 0."""
-    src = _check_sources(g, sources)
-    return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
-                            indices=src, min_only=True)
-
-
-# Work charged to each `relax` level on top of the neighbours it gathers, in
+# Work charged to each frontier level on top of the neighbours it gathers, in
 # the units of a full sweep's n + nnz. On a 100k-vertex path one numpy
 # frontier step cost as much as 3200-4000 units of sweep (2-vCPU x86
 # machine); charging about twice that holds a call that falls back on a long
 # path to about 1.5 sweeps.
 RELAX_LEVEL_CHARGE = 8192
+# The first sweep of a process also imports scipy.sparse and its csgraph
+# (0.27-0.31 s on the same machine, about 3 * 10**7 units). Until then a loop
+# may do this much more work, 512 levels: a graph of up to about 500 levels
+# (the golden and benchmark graphs among them) never loads scipy, while a
+# deeper one loses about 11 ms of path levels before it pays the import.
+SCIPY_IMPORT_CHARGE = 2**22
+
+
+def multi_source_bfs(g: Graph, sources) -> np.ndarray:
+    """result[v] = min hop distance from v to any source; UNREACHABLE across
+    components. The sources are exactly the vertices at distance 0."""
+    src = _check_sources(g, sources)
+    dist = np.full(g.n, UNREACHABLE)
+    dist[src] = 0.0
+    return dist if _lower(g, dist, src) else _sweep(g, src)
 
 
 def relax(g: Graph, dist: np.ndarray, source) -> None:
@@ -148,35 +172,60 @@ def relax(g: Graph, dist: np.ndarray, source) -> None:
 
     `dist` must be a `multi_source_bfs` array, or one already relaxed, so
     only vertices whose distance improves need expanding (pruned BFS, Akiba,
-    Iwata and Yoshida 2013): each level keeps the gathered neighbours with
-    dist > level. Each level is charged its gathered neighbours plus
-    RELAX_LEVEL_CHARGE; once the charge passes one full sweep (n + nnz), the
-    rest is one `multi_source_bfs` from `source` and a minimum, so a call
+    Iwata and Yoshida 2013). Past the budget of `_lower`, the rest is one
+    sweep from `source` and a minimum, so once csgraph is imported a call
     costs at most about two sweeps.
     """
     s = int(_check_sources(g, [source])[0])
     if dist[s] == 0:
         return
     dist[s] = 0.0
-    indptr, indices = g.csr.indptr, g.csr.indices
-    budget, work = g.n + g.csr.nnz, 0
-    frontier, level = np.array([s]), 0
+    if not _lower(g, dist, np.array([s])):
+        np.minimum(dist, _sweep(g, [s]), out=dist)
+
+
+def _lower(g: Graph, dist: np.ndarray, frontier: np.ndarray) -> bool:
+    """Breadth-first levels from `frontier` (the vertices at distance 0),
+    setting dist[v] = level for each gathered neighbour with dist[v] > level:
+    every BFS in the library is this loop. Each level is charged its
+    gathered neighbours plus RELAX_LEVEL_CHARGE; once the charge passes one
+    sweep's n + nnz (plus SCIPY_IMPORT_CHARGE while csgraph is not
+    imported) it returns False, and every distance it lowered is still the
+    length of a path."""
+    budget = g.n + g.indices.size
+    if "scipy.sparse.csgraph" not in sys.modules:
+        budget += SCIPY_IMPORT_CHARGE
+    indptr, indices = g.indptr, g.indices
+    work, level = 0, 0
     while frontier.size:
         starts, ends = indptr[frontier], indptr[frontier + 1]
         counts = ends - starts
         total = int(counts.sum())
         work += total + RELAX_LEVEL_CHARGE
         if work > budget:
-            np.minimum(dist, multi_source_bfs(g, [s]), out=dist)
-            return
+            return False
         level += 1
         nb = indices[np.arange(total) + (ends - counts.cumsum()).repeat(counts)]
-        # sort and drop repeats; numpy 2.4 np.unique hashes, 18x slower at 5000 ids
-        nb = np.sort(nb[dist[nb] > level])
-        first = np.ones(nb.size, dtype=bool)
-        np.not_equal(nb[1:], nb[:-1], out=first[1:])
-        frontier = nb[first]
+        frontier = _distinct(nb[dist[nb] > level])
         dist[frontier] = level
+    return True
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """`a` sorted with repeats dropped. numpy 2.4's np.unique hashes: 18x
+    slower at 5000 ids, 58x on the 10**6 arc keys of a 100k-vertex graph."""
+    a = np.sort(a)
+    first = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _sweep(g: Graph, sources) -> np.ndarray:
+    """Hop distances to the nearest source by one csgraph C sweep."""
+    from scipy.sparse import csgraph
+
+    return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
+                            indices=sources, min_only=True)
 
 
 def _hops(x) -> float:
@@ -186,7 +235,7 @@ def _hops(x) -> float:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    return np.diff(g.csr.indptr)
+    return np.diff(g.indptr)
 
 
 @dataclass(frozen=True)
@@ -237,6 +286,8 @@ def closeness_centrality(g: Graph) -> np.ndarray:
     out = np.zeros(n)
     if n <= 1:
         return out
+    from scipy.sparse import csgraph
+
     chunk = 256
     for start in range(0, n, chunk):
         idx = np.arange(start, min(start + chunk, n))

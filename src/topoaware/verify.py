@@ -118,8 +118,9 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
     """Farthest-first seeds equal to a reference traversal, and their
     objective within 2x the exhaustive optimum where brute force is allowed.
 
-    On the small graphs n + nnz is below one level's charge, so every
-    `relax` takes the full-sweep fallback; on the last, sparse graph every
+    On the small graphs n + nnz is below one level's charge, so once csgraph
+    is imported every `relax` takes the full-sweep fallback (in a fresh
+    process, which has not, none does); on the last, sparse graph every
     `relax` stays on its pruned branch."""
     cases = _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12))
     for case, (g, k, sweep) in enumerate(cases):

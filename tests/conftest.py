@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -99,4 +100,17 @@ def level_charge(name):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(topoaware.graph, "RELAX_LEVEL_CHARGE", LEVEL_CHARGES[name])
+        yield
+
+
+@contextlib.contextmanager
+def csgraph_unimported():
+    """The frontier loop's budget as in a fresh CLI process, which has not
+    imported scipy.sparse.csgraph: SCIPY_IMPORT_CHARGE is added to every
+    call's budget. The module object stays bound to scipy.sparse, so a
+    fallback sweep still finds it (and a patched `dijkstra`) there."""
+    import scipy.sparse.csgraph  # noqa: F401
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delitem(sys.modules, "scipy.sparse.csgraph")
         yield

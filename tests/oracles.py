@@ -13,6 +13,7 @@ import warnings
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 from scipy import stats
 from scipy.sparse import csgraph
 
@@ -21,6 +22,19 @@ INF = math.inf
 
 # ---------------------------------------------------------------------------
 # graph construction references
+
+
+def coo_to_csr(n, u, v):
+    """indptr, indices and data of the symmetric 0/1 matrix of id pairs
+    (u[j], v[j]) by scipy's COO -> CSR: self-loops dropped, a repeated pair
+    summed and then set to 1."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    keep = u != v
+    rows = np.concatenate([u[keep], v[keep]])
+    cols = np.concatenate([v[keep], u[keep]])
+    csr = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    csr.data[:] = 1.0
+    return csr.indptr, csr.indices, csr.data
 
 
 def set_based_graph(edge_tokens):
@@ -473,10 +487,11 @@ def random_connected_edges(n, p, rng):
 # seed selection by one full sweep per seed
 
 
-def _sweep(g, source):
-    """Hop distances from one source over the graph's CSR matrix (scipy)."""
+def sweep_hops(g, sources):
+    """Hop distances to the nearest of `sources` over the graph's CSR matrix
+    (scipy)."""
     return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
-                            indices=[source], min_only=True)
+                            indices=sorted(set(sources)), min_only=True)
 
 
 def _objective(n, seeds, dist):
@@ -493,11 +508,11 @@ def kcenter_greedy_sweeps(g, k, start="highest_degree", rng_seed=None):
     else:
         first = int(start)
     seeds = [first]
-    dist = _sweep(g, first)
+    dist = sweep_hops(g, [first])
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         seeds.append(nxt)
-        dist = np.minimum(dist, _sweep(g, nxt))
+        dist = np.minimum(dist, sweep_hops(g, [nxt]))
     return seeds, _objective(g.n, seeds, dist)
 
 
@@ -506,11 +521,11 @@ def coverage_sampling_sweeps(g, k, rng_seed):
     Returns (seeds, objective)."""
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     seeds = [int(np.argmax(np.diff(g.csr.indptr)))]
-    dist = _sweep(g, seeds[0])
+    dist = sweep_hops(g, [seeds[0]])
     for _ in range(k - 1):
         weights = np.where(np.isfinite(dist), dist, float(g.n))
         weights[seeds] = 0.0
         nxt = int(rng.choice(g.n, p=weights / weights.sum()))
         seeds.append(nxt)
-        dist = np.minimum(dist, _sweep(g, nxt))
+        dist = np.minimum(dist, sweep_hops(g, [nxt]))
     return seeds, _objective(g.n, seeds, dist)

@@ -1,6 +1,6 @@
 """Byte-for-byte CLI reports and case-study output against checked-in copies,
-and the number of BFS sweeps and relax calls each CLI run makes on the same
-inputs.
+the number of BFS loops, sweeps and relax calls each CLI run makes on the
+same inputs, and which runs load scipy.
 
 The inputs under tests/data/golden/ are a 300-vertex three-block SBM plus a
 detached pair (so overflow and unreachable counts are non-zero), six seeds,
@@ -22,13 +22,17 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from scipy.sparse import csgraph
 
-from topoaware import build_graph, ingest, parse_edge_list, sampling
+from conftest import csgraph_unimported
+from topoaware import build_graph, graph, ingest, parse_edge_list, sampling
 from topoaware.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -140,10 +144,13 @@ def test_connected_graph_has_one_component():
     assert csgraph.connected_components(g.csr, directed=False)[0] == 1
 
 
-# run -> (csgraph.dijkstra sweeps, relax calls): one seed-distance array per
-# run, one objective sweep for a score baseline, and for a greedy run one
-# sweep for the first seed and one relax per later seed. Every relax on
-# graph.txt falls back to one sweep: n + nnz = 302 + 962 is below the
+# run -> (frontier loops, csgraph.dijkstra sweeps, relax calls): one
+# seed-distance array per run, one objective array for a score baseline, and
+# for a greedy run one array for the first seed and one relax per later seed.
+# Each array and each relax is one frontier loop. In a process that has not
+# imported csgraph (every CLI run on graph.txt) no loop passes its budget of
+# n + nnz + SCIPY_IMPORT_CHARGE; once csgraph is imported, every loop falls
+# back to one sweep, because n + nnz = 302 + 962 is below the
 # RELAX_LEVEL_CHARGE of its first level.
 BFS_COUNTS = {
     "partition": (CASES["partition"][0], 1, 0),
@@ -158,24 +165,59 @@ BFS_COUNTS = {
 
 @pytest.mark.parametrize("name", sorted(BFS_COUNTS))
 def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
-    argv, want_sweeps, want_relaxes = BFS_COUNTS[name]
-    sweeps, relaxes = [], []
-    dijkstra, relax = csgraph.dijkstra, sampling.relax
+    argv, want_loops, want_relaxes = BFS_COUNTS[name]
+    loops, sweeps, relaxes = [], [], []
+    lower, dijkstra, relax = graph._lower, csgraph.dijkstra, sampling.relax
 
-    def counted_sweep(*args, **kwargs):
-        sweeps.append(1)
-        return dijkstra(*args, **kwargs)
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_relax(*args, **kwargs):
-        relaxes.append(1)
-        return relax(*args, **kwargs)
-
-    monkeypatch.setattr(csgraph, "dijkstra", counted_sweep)
-    monkeypatch.setattr(sampling, "relax", counted_relax)
+    monkeypatch.setattr(graph, "_lower", counted(loops, lower))
+    monkeypatch.setattr(csgraph, "dijkstra", counted(sweeps, dijkstra))
+    monkeypatch.setattr(sampling, "relax", counted(relaxes, relax))
     monkeypatch.chdir(GOLDEN)
-    code, _, err = _run_case(argv, capsys)
-    assert code == 0, err
-    assert (len(sweeps), len(relaxes)) == (want_sweeps, want_relaxes)
+    for state, want_sweeps in ((csgraph_unimported(), 0), (contextlib.nullcontext(), want_loops)):
+        for calls in (loops, sweeps, relaxes):
+            calls.clear()
+        with state:
+            code, _, err = _run_case(argv, capsys)
+        assert code == 0, err
+        assert (len(loops), len(sweeps), len(relaxes)) == (want_loops, want_sweeps, want_relaxes)
+
+
+def _loads_scipy(argvs, cwd) -> list[bool]:
+    """Whether a scipy module is loaded in one fresh process after
+    `import topoaware.cli` and after each CLI run of `argvs`, in order."""
+    code = ("import contextlib, io, json, sys\n"
+            "from topoaware.cli import main\n"
+            "def loaded(): return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "print(json.dumps(loaded()))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(json.dumps(loaded()))\n")
+    src = str(Path(ingest.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+def test_scipy_loads_only_where_a_c_kernel_pays(tmp_path):
+    # every CLI process pays its imports: scipy.sparse and csgraph took 0.27 s
+    # of a 0.45 s `import topoaware.cli`, and scipy.stats alone about 0.9 s
+    shallow = [CASES[name][0] for name in ("partition", "distortion_min", "evaluate",
+                                           "sample_kcenter", "sample_coverage")]
+    assert _loads_scipy(shallow, GOLDEN) == [False] * 6
+    (tmp_path / "path.txt").write_text("".join(f"v{i} v{i + 1}\n" for i in range(2000)))
+    (tmp_path / "seed.txt").write_text("v0\n")
+    deep = ["partition", "--graph", str(tmp_path / "path.txt"),
+            "--seeds", str(tmp_path / "seed.txt")]
+    for argv in (BFS_COUNTS["sample_pagerank"][0], CASES["embed_features"][0], deep):
+        assert _loads_scipy([argv], GOLDEN) == [False, True], argv
 
 
 @pytest.mark.parametrize("name", ["partition", "distortion_min", "embed_features"])

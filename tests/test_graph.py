@@ -10,6 +10,7 @@ from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, path_graph
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
                        UNREACHABLE, build_graph, closeness_centrality, degrees,
                        multi_source_bfs, pagerank)
+from topoaware import graph
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
@@ -112,12 +113,30 @@ def test_graph_is_immutable():
     g = build_graph([("a", "b")])
     with pytest.raises(Exception):
         g.n = 5
-    with pytest.raises(ValueError):
-        g.csr.indices[0] = 9
+    for arr in (g.indptr, g.indices, g.csr.indptr, g.csr.indices, g.csr.data):
+        with pytest.raises(ValueError):
+            arr[0] = 9
 
 
-@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))))
+pair_lists = st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25)))
+
+
+@given(pair_lists)
+@example((1, []))
+@example((1, [(0, 0)]))
+@example((5, [(0, 1), (1, 0), (2, 2), (0, 1), (3, 1)]))
+def test_csr_arrays_match_scipy_coo_to_csr(case):
+    n, pairs = case
+    g = _id_graph(n, [a for a, _ in pairs], [b for _, b in pairs])
+    indptr, indices, data = oracles.coo_to_csr(n, [a for a, _ in pairs], [b for _, b in pairs])
+    for got, want in ((g.indptr, indptr), (g.indices, indices),
+                      (g.csr.indptr, indptr), (g.csr.indices, indices), (g.csr.data, data)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
+@given(pair_lists)
 @example((1, []))
 @example((1, [(0, 0)]))
 @example((5, [(0, 1), (1, 0), (2, 2), (0, 1), (3, 1)]))
@@ -126,8 +145,8 @@ def test_id_graph_matches_build_graph_of_token_pairs(case):
     got = _id_graph(n, [a for a, _ in pairs], [b for _, b in pairs])
     want = id_graph(n, pairs)
     assert got.tokens == want.tokens and got.token_index == want.token_index
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.csr, name), getattr(want.csr, name)
+    for name in ("indptr", "indices"):
+        a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
 
@@ -189,16 +208,35 @@ def test_msbfs_is_elementwise_min_of_bfs(data):
     assert np.array_equal(multi_source_bfs(g, sources), expect)
 
 
-def _counting_dijkstra(monkeypatch):
-    calls = []
-    dijkstra = csgraph.dijkstra
+def _counting_bfs(monkeypatch):
+    """Lists that grow by one per frontier loop and per csgraph sweep."""
+    loops, sweeps = [], []
+    lower, dijkstra = graph._lower, csgraph.dijkstra
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return dijkstra(*args, **kwargs)
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(csgraph, "dijkstra", counted)
-    return calls
+    monkeypatch.setattr(graph, "_lower", counted(loops, lower))
+    monkeypatch.setattr(csgraph, "dijkstra", counted(sweeps, dijkstra))
+    return loops, sweeps
+
+
+@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@given(st.integers(0, 2**32 - 1))
+def test_msbfs_matches_csgraph_sweep(charge, seed):
+    # components of tied distances, isolated vertices, repeated sources
+    rng = np.random.default_rng(seed)
+    g = tied_graph(rng)
+    sources = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
+    with pytest.MonkeyPatch.context() as mp, level_charge(charge):
+        loops, sweeps = _counting_bfs(mp)
+        got = multi_source_bfs(g, sources)
+    want = oracles.sweep_hops(g, sources)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (len(loops), len(sweeps)) == (1, 0 if charge == "pruned" else 1)
 
 
 @pytest.mark.parametrize("charge", LEVEL_CHARGES)
@@ -209,13 +247,14 @@ def test_relax_chain_matches_multi_source_bfs(charge, seed):
     seeds = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
     dist = multi_source_bfs(g, seeds[:1])
     with pytest.MonkeyPatch.context() as mp, level_charge(charge):
-        sweeps = _counting_dijkstra(mp)
+        loops, sweeps = _counting_bfs(mp)
         for s in seeds[1:]:
             relax(g, dist, s)
     assert np.array_equal(dist, multi_source_bfs(g, seeds))
-    # one fallback sweep per source not already in the set, or none at all
+    # one frontier loop per source not already in the set, each falling
+    # back to one sweep or none of them
     fresh = sum(s not in seeds[:i] for i, s in enumerate(seeds) if i)
-    assert len(sweeps) == (0 if charge == "pruned" else fresh)
+    assert (len(loops), len(sweeps)) == (fresh, 0 if charge == "pruned" else fresh)
 
 
 def test_relax_path_from_the_middle():
@@ -333,10 +372,10 @@ def test_closeness_matches_brute_force():
 
 def test_closeness_size_guard_fires_before_any_sweep(monkeypatch):
     g = path_graph(CLOSENESS_MAX_N + 1)
-    sweeps = _counting_dijkstra(monkeypatch)
+    loops, sweeps = _counting_bfs(monkeypatch)
     with pytest.raises(SizeGuardError, match="10001 vertices"):
         closeness_centrality(g)
-    assert sweeps == []
+    assert loops == sweeps == []
 
 
 # ---------------------------------------------------------------------------
