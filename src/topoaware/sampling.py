@@ -66,9 +66,9 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     """Farthest-first traversal: each step adds the vertex farthest from the
     current seed set (ties to the lowest id, unreachable before any finite).
 
-    The first seed costs one `multi_source_bfs`; each later seed lowers the
-    distance array in place with `relax`, a pruned frontier expansion that
-    visits only the vertices it brings closer. On a high-diameter graph `relax`
+    The first seed costs one BFS; each later seed lowers the distance
+    array in place with `relax`, a pruned frontier expansion that visits
+    only the vertices it brings closer. On a high-diameter graph `relax`
     falls back to a full sweep, so k sweeps (O(k·m)) is the worst case, and
     the final array always equals `multi_source_bfs(g, seeds)`. `start` is
     "highest_degree", "random" (needs rng_seed), or an explicit vertex id.

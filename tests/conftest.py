@@ -114,3 +114,16 @@ def csgraph_unimported():
     with pytest.MonkeyPatch.context() as mp:
         mp.delitem(sys.modules, "scipy.sparse.csgraph")
         yield
+
+
+def count_calls(mp, owner, name):
+    """Patch owner.name, through `mp`, to count its calls; the returned list
+    grows by one per call."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    mp.setattr(owner, name, counted)
+    return calls

@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import csgraph_unimported
+from conftest import count_calls, csgraph_unimported
 from topoaware import build_graph, graph, ingest, parse_edge_list, sampling
 from topoaware.cli import main
 
@@ -166,18 +166,9 @@ BFS_COUNTS = {
 @pytest.mark.parametrize("name", sorted(BFS_COUNTS))
 def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
     argv, want_loops, want_relaxes = BFS_COUNTS[name]
-    loops, sweeps, relaxes = [], [], []
-    lower, dijkstra, relax = graph._lower, csgraph.dijkstra, sampling.relax
-
-    def counted(calls, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(graph, "_lower", counted(loops, lower))
-    monkeypatch.setattr(csgraph, "dijkstra", counted(sweeps, dijkstra))
-    monkeypatch.setattr(sampling, "relax", counted(relaxes, relax))
+    loops = count_calls(monkeypatch, graph, "_lower")
+    sweeps = count_calls(monkeypatch, csgraph, "dijkstra")
+    relaxes = count_calls(monkeypatch, sampling, "relax")
     monkeypatch.chdir(GOLDEN)
     for state, want_sweeps in ((csgraph_unimported(), 0), (contextlib.nullcontext(), want_loops)):
         for calls in (loops, sweeps, relaxes):
@@ -207,8 +198,8 @@ def _loads_scipy(argvs, cwd) -> list[bool]:
 
 
 def test_scipy_loads_only_where_a_c_kernel_pays(tmp_path):
-    # every CLI process pays its imports: scipy.sparse and csgraph took 0.27 s
-    # of a 0.45 s `import topoaware.cli`, and scipy.stats alone about 0.9 s
+    # every CLI process pays its imports: scipy.sparse and its csgraph took
+    # 0.37 s of a 0.58 s `import topoaware.cli`, and scipy.stats about 0.9 s
     shallow = [CASES[name][0] for name in ("partition", "distortion_min", "evaluate",
                                            "sample_kcenter", "sample_coverage")]
     assert _loads_scipy(shallow, GOLDEN) == [False] * 6

@@ -6,11 +6,11 @@ from hypothesis import example, given, strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from conftest import LEVEL_CHARGES, er_graph, id_graph, level_charge, path_graph, tied_graph
+from conftest import (LEVEL_CHARGES, count_calls, er_graph, id_graph, level_charge, path_graph,
+                      tied_graph)
 from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
                        UNREACHABLE, build_graph, closeness_centrality, degrees,
-                       multi_source_bfs, pagerank)
-from topoaware import graph
+                       graph, multi_source_bfs, pagerank)
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
@@ -118,25 +118,8 @@ def test_graph_is_immutable():
             arr[0] = 9
 
 
-pair_lists = st.integers(1, 10).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25)))
-
-
-@given(pair_lists)
-@example((1, []))
-@example((1, [(0, 0)]))
-@example((5, [(0, 1), (1, 0), (2, 2), (0, 1), (3, 1)]))
-def test_csr_arrays_match_scipy_coo_to_csr(case):
-    n, pairs = case
-    g = _id_graph(n, [a for a, _ in pairs], [b for _, b in pairs])
-    indptr, indices, data = oracles.coo_to_csr(n, [a for a, _ in pairs], [b for _, b in pairs])
-    for got, want in ((g.indptr, indptr), (g.indices, indices),
-                      (g.csr.indptr, indptr), (g.csr.indices, indices), (g.csr.data, data)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert not got.flags.writeable
-
-
-@given(pair_lists)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))))
 @example((1, []))
 @example((1, [(0, 0)]))
 @example((5, [(0, 1), (1, 0), (2, 2), (0, 1), (3, 1)]))
@@ -145,10 +128,14 @@ def test_id_graph_matches_build_graph_of_token_pairs(case):
     got = _id_graph(n, [a for a, _ in pairs], [b for _, b in pairs])
     want = id_graph(n, pairs)
     assert got.tokens == want.tokens and got.token_index == want.token_index
-    for name in ("indptr", "indices"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert not a.flags.writeable and not b.flags.writeable
+    # scipy's COO -> CSR gives the same arrays, index dtype included
+    indptr, indices, data = oracles.coo_to_csr(n, [a for a, _ in pairs], [b for _, b in pairs])
+    for arrays, oracle in (((got.indptr, want.indptr, got.csr.indptr), indptr),
+                           ((got.indices, want.indices, got.csr.indices), indices),
+                           ((got.csr.data,), data)):
+        for a in arrays:
+            assert a.dtype == oracle.dtype and np.array_equal(a, oracle)
+            assert not a.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +197,7 @@ def test_msbfs_is_elementwise_min_of_bfs(data):
 
 def _counting_bfs(monkeypatch):
     """Lists that grow by one per frontier loop and per csgraph sweep."""
-    loops, sweeps = [], []
-    lower, dijkstra = graph._lower, csgraph.dijkstra
-
-    def counted(calls, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(1)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(graph, "_lower", counted(loops, lower))
-    monkeypatch.setattr(csgraph, "dijkstra", counted(sweeps, dijkstra))
-    return loops, sweeps
+    return count_calls(monkeypatch, graph, "_lower"), count_calls(monkeypatch, csgraph, "dijkstra")
 
 
 @pytest.mark.parametrize("charge", LEVEL_CHARGES)
