@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError
+from .graph import _distinct
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
@@ -50,7 +51,7 @@ def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
     """Mean loss over the subset; zero_one only in classification mode."""
     if loss not in LOSSES:
         raise ArgumentError(f"loss must be one of {LOSSES}, got {loss!r}")
-    ids = np.unique(np.fromiter(subset, dtype=np.intp))
+    ids = _distinct(np.fromiter(subset, dtype=np.intp))
     if not len(ids):
         raise ArgumentError("subset is empty")
     _require_coverage(preds.covered, ids, "predictions")

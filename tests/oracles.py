@@ -259,6 +259,20 @@ def point_to_set_loop(emb, vs, seed_ids, mode):
     return out
 
 
+def chunked_point_to_set(emb, vs, seed_ids, mode, elements):
+    """The broadcast loop of point-to-set distances ("min" or "mean") over
+    vertex chunks of at most `elements` differences: one exact sum of
+    squared differences per vertex and seed vector."""
+    seed_vecs = emb.vectors[seed_ids]
+    step = max(1, elements // seed_vecs.size)
+    out = np.empty(len(vs))
+    for start in range(0, len(vs), step):
+        diff = seed_vecs - emb.vectors[vs[start:start + step], None, :]
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        out[start:start + step] = d.min(axis=1) if mode == "min" else d.mean(axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # hop groups, label tables and prediction tables as sets and dicts
 

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import oracles
-from conftest import er_graph, id_graph, path_graph
+from conftest import count_calls, er_graph, id_graph, path_graph
 from topoaware import (UNREACHABLE, ArgumentError, CoverageError,
                        DegenerateEmbeddingError, EmbeddingTable, build_graph,
                        estimate_distortion, group_distance,
                        group_distance_point, hop_embedding_profile,
-                       multi_source_bfs, paired_distances_for_distortion,
-                       partition_by_distance)
+                       multi_source_bfs, one_hot_features,
+                       paired_distances_for_distortion, partition_by_distance,
+                       propagate, synthetic_sbm)
+from topoaware import metrics
 from topoaware.metrics import _POINT_TO_SET_ELEMENTS, _point_to_set
 
 
@@ -375,3 +378,87 @@ def test_point_to_set_matches_per_vertex_loop(seed, dim, rows_per_chunk, mode):
     vs = rng.integers(0, n, size=int(rng.integers(2, 5)) * rows_per_chunk + 1)
     got = _point_to_set(emb, vs, seed_ids, mode)
     assert np.array_equal(got, oracles.point_to_set_loop(emb, vs, seed_ids, mode))
+
+
+# small-integer lattices times a scale give exact ties and near-ties; the
+# scales reach squares that overflow and products that underflow
+_SCALES = st.sampled_from([1.0, 0.1, 1 / 3, 1e154, 1.3e154, 1e-310, 2.0 ** -1074, 1e-158])
+
+
+@st.composite
+def _nearest_seed_cases(draw):
+    dim, n, scale = draw(st.integers(1, 5)), draw(st.integers(1, 12)), draw(_SCALES)
+    lattice = st.tuples(st.integers(-3, 3), st.sampled_from([0, 0, 1, -2])).map(
+        lambda ij: ij[0] * scale + ij[1] * scale * 1e-8)
+    cell = draw(st.sampled_from([lattice, st.one_of(
+        lattice, st.just(-0.0), st.floats(-4 * scale, 4 * scale), st.floats(-1e155, 1e155))]))
+    vectors = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    ids = st.integers(0, n - 1)
+    # repeated seed ids give duplicate seed vectors
+    seed_ids = draw(st.lists(ids, min_size=1, max_size=8))
+    vs = draw(st.lists(ids, max_size=12))
+    elements = draw(st.sampled_from([1, 2, 3, 7, 64, _POINT_TO_SET_ELEMENTS]))
+    return vectors, seed_ids, vs, elements
+
+
+def _check_nearest_seed(case):
+    vectors, seed_ids, vs, elements = case
+    emb = EmbeddingTable(np.array(vectors, dtype=np.float64))
+    seed_ids, vs = np.array(seed_ids, dtype=np.intp), np.array(vs, dtype=np.intp)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        want = oracles.chunked_point_to_set(emb, vs, seed_ids, "min", elements)
+    # no warning where the loop gives none
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore" if seen else "error")
+        mp.setattr(metrics, "_POINT_TO_SET_ELEMENTS", elements)
+        got = _point_to_set(emb, vs, seed_ids, "min")
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@given(_nearest_seed_cases())
+@example(([[0.0], [1.0], [-1.0]], [1, 2], [0], 7))
+@example(([[-0.0, 0.0], [0.0, -0.0]], [0], [1, 0], 1))
+@example(([[1e154, 1e154], [-1e154, 1e154], [1e154, -1e154]], [1, 2], [0], 64))
+@example(([[1e-310, 0.0], [0.0, 1e-310], [-1e-310, 0.0]], [1, 2], [0, 1, 2], 2))
+@example(([[0.1], [0.3], [-0.1]], [1, 2], [0], 64))
+@example(([[2 / 3, -2 / 3], [1 / 3, -1.0], [1 / 3, -1 / 3], [-1.0, -1 / 3], [1 / 3, -2 / 3],
+           [1.0, -2 / 3]], [1, 2, 3, 4, 5], [0], 64))
+@example(([[-1e-158, 0.0, 2e-158], [-1e-158, 0.0, -1e-158], [0.0, -2e-158, 0.0],
+           [-3e-158, -3e-158, -1e-158], [3e-158, 0.0, -2e-158]], [1, 2, 3, 4], [0], 64))
+@example(([[-1.2e154], [-1.3e154], [-1.2e154], [4e153]], [1, 2, 3], [0], 64))
+@example(([[1.0, 2.0]], [0], [], 64))
+def test_nearest_seed_matches_the_chunked_loop(case):
+    _check_nearest_seed(case)
+
+
+@pytest.mark.slow
+@seed(20261019)
+@settings(max_examples=20000)
+@given(_nearest_seed_cases())
+def test_nearest_seed_matches_the_chunked_loop_long(case):
+    _check_nearest_seed(case)
+
+
+def _loop_calls(monkeypatch, vectors, seed_ids):
+    emb = EmbeddingTable(vectors)
+    vs = np.setdiff1d(np.arange(len(vectors)), seed_ids)
+    calls = count_calls(monkeypatch, metrics, "_exact_point_to_set")
+    got = _point_to_set(emb, vs, seed_ids, "min")
+    want = oracles.chunked_point_to_set(emb, vs, seed_ids, "min", _POINT_TO_SET_ELEMENTS)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return len(calls)
+
+
+def test_nearest_seed_skips_the_loop_on_block_vectors(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    centres = 2.0 * rng.standard_normal((10, 16))
+    vectors = centres[rng.integers(0, 10, size=2000)] + rng.standard_normal((2000, 16))
+    assert _loop_calls(monkeypatch, vectors, np.sort(rng.choice(2000, 100, replace=False))) == 0
+
+
+def test_nearest_seed_takes_the_loop_on_one_hot_ties(monkeypatch):
+    sbm = synthetic_sbm([30, 30, 30], 0.3, 0.02, rng_seed=5)
+    emb = propagate(sbm.graph, one_hot_features(sbm.graph), layers=1)
+    seed_ids = np.arange(0, 90, 3)
+    assert _loop_calls(monkeypatch, emb.vectors, seed_ids) == 1
