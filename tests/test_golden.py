@@ -12,7 +12,10 @@ one-component 150-vertex SBM
 (`topoaware synth --sizes 50,50,50 --p-in 0.1 --p-out 0.01 --seed 1`), so
 its seed selections report finite k-center objectives; `small.txt` is a
 7-vertex graph for one-hot embeddings and feature tables. `bad/` holds one
-malformed input per message the four text parsers raise. After a change
+malformed input per message the four text parsers raise, and
+`features_unknown_commented.csv`, a copy of `features_unknown.csv` with a
+comment line, so the row loop's unknown-token error is checked against the
+block reader's. After a change
 that is meant to alter output, rewrite the expected copies with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -83,7 +86,8 @@ _BAD_INPUTS = {
 }
 for _stem, _code in [("missing_header", 3), ("bad_header", 3), ("field_count", 3),
                      ("duplicate", 3), ("non_numeric", 3), ("blank_value", 3),
-                     ("non_finite", 3), ("unknown", 4), ("missing_rows", 4)]:
+                     ("non_finite", 3), ("unknown", 4), ("unknown_commented", 4),
+                     ("missing_rows", 4)]:
     _BAD_INPUTS[f"bad_features_{_stem}"] = (
         ["embed", "--graph", "small.txt", "--features", f"bad/features_{_stem}.csv"], _code)
 for _stem in ["bad_header", "field_count", "duplicate", "non_numeric", "non_finite",
@@ -91,6 +95,8 @@ for _stem in ["bad_header", "field_count", "duplicate", "non_numeric", "non_fini
     _BAD_INPUTS[f"bad_labels_{_stem}"] = (
         ["evaluate", *_INPUTS, "--labels", f"bad/labels_{_stem}.csv",
          "--predictions", "predictions.csv"], 3)
+_BAD_INPUTS["bad_labels_unknown"] = (["evaluate", *_INPUTS, "--labels", "bad/labels_unknown.csv",
+                                      "--predictions", "predictions.csv"], 4)
 CASES.update(_BAD_INPUTS)
 _STRUCTURED_AND_TABULAR = {
     "sample_kcenter": ["sample", "--graph", "graph.txt", "--method", "kcenter", "--k", "7"],
