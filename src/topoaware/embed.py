@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, SizeGuardError
-from .graph import Graph, _id_graph, degrees, seeded_rng
+from .graph import Graph, _check_sources, _id_graph, degrees, seeded_rng
 from .metrics import EmbeddingTable, _point_to_set, _require_coverage
 
 ONE_HOT_MAX_N = 5000  # one n x n float64 copy is 200 MB at this size
@@ -88,16 +88,12 @@ def lipschitz_labels(emb: EmbeddingTable, anchors, noise: float = 0.0,
                      rng_seed: int | None = None) -> np.ndarray:
     """Regression targets that are 1-Lipschitz in embedding space at noise 0:
     min Euclidean distance to the anchor vectors, plus seeded Gaussian noise."""
-    anchor_ids = sorted({int(a) for a in anchors})
-    if not anchor_ids:
-        raise ArgumentError("anchor set is empty")
+    n = emb.vectors.shape[0]
+    anchor_ids = _check_sources(n, anchors)
     if noise < 0.0:
         raise ArgumentError(f"noise must be >= 0, got {noise}")
-    n = emb.vectors.shape[0]
     _require_coverage(emb.covered, np.arange(n), "embeddings")
-    if any(a < 0 or a >= n for a in anchor_ids):
-        raise ArgumentError("anchor id out of range")
-    targets = _point_to_set(emb, np.arange(n), np.asarray(anchor_ids), "min")
+    targets = _point_to_set(emb, np.arange(n), anchor_ids, "min")
     if noise > 0.0:
         targets = targets + noise * seeded_rng(rng_seed).standard_normal(n)
     return targets

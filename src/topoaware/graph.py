@@ -135,12 +135,13 @@ def _csr_graph(index: dict, u, v) -> Graph:
     return Graph(indptr=indptr, indices=indices, tokens=tuple(index), token_index=index)
 
 
-def _check_sources(g: Graph, sources) -> np.ndarray:
+def _check_sources(n: int, sources) -> np.ndarray:
+    """The sorted distinct ids of `sources`: the one check of a caller's id set."""
     src = sorted({int(s) for s in sources})
     if not src:
         raise ArgumentError("source set is empty")
-    if src[0] < 0 or src[-1] >= g.n:
-        raise BoundsError(f"source out of range 0..{g.n - 1}")
+    if src[0] < 0 or src[-1] >= n:
+        raise BoundsError(f"source out of range 0..{n - 1}")
     return np.asarray(src, dtype=np.int64)
 
 
@@ -161,7 +162,7 @@ SCIPY_IMPORT_CHARGE = 2**22
 def multi_source_bfs(g: Graph, sources) -> np.ndarray:
     """result[v] = min hop distance from v to any source; UNREACHABLE across
     components. The sources are exactly the vertices at distance 0."""
-    src = _check_sources(g, sources)
+    src = _check_sources(g.n, sources)
     dist = np.full(g.n, UNREACHABLE)
     dist[src] = 0.0
     return dist if _lower(g, dist, src) else _sweep(g, src)
@@ -176,7 +177,7 @@ def relax(g: Graph, dist: np.ndarray, source) -> None:
     sweep from `source` and a minimum, so once csgraph is imported a call
     costs at most about two sweeps.
     """
-    s = int(_check_sources(g, [source])[0])
+    s = int(_check_sources(g.n, [source])[0])
     if dist[s] == 0:
         return
     dist[s] = 0.0

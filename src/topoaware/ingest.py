@@ -151,33 +151,34 @@ def write_token_list(tokens) -> str:
 
 def resolve_tokens(tokens, g: Graph) -> list:
     """Strict token -> dense id resolution; unknown tokens are an error."""
-    unknown = [t for t in tokens if t not in g.token_index]
-    if unknown:
-        raise CoverageError("unknown vertex tokens", missing=tuple(unknown), kind="token")
-    return [g.token_index[t] for t in tokens]
+    try:
+        return [g.token_index[t] for t in tokens]
+    except KeyError:
+        unknown = tuple(t for t in tokens if t not in g.token_index)
+        raise CoverageError("unknown vertex tokens", missing=unknown, kind="token") from None
 
 
 # ---------------------------------------------------------------------------
 # vector tables
 
 
-def _vector_block(rows, dim: int, g: Graph) -> np.ndarray | None:
-    """The vectors of `rows`, read by one np.loadtxt call (whose C reader
+def _vector_block(rows, dim: int, g: Graph) -> tuple[list, np.ndarray] | None:
+    """(ids, values) of `rows`, read by one np.loadtxt call (whose C reader
     takes a subset of what float() reads). None when there are no rows or
-    any row is not a plain row of known, unique token and finite values,
-    or holds a '#' (a comment to the row loop, and the one character that
-    changes loadtxt's row count)."""
+    any row is not a plain row of unique token and finite values, or holds
+    a '#' (a comment to the row loop, and the one character that changes
+    loadtxt's row count). Such a block has no parse error, so an unknown
+    token raises the CoverageError the row loop would."""
     if not rows or any("#" in row or row.count(",") != dim for row in rows):
         return None
     try:
-        ids = [g.token_index[row[:row.index(",")].strip()] for row in rows]
         values = np.loadtxt(rows, delimiter=",", usecols=range(1, dim + 1), ndmin=2)
-    except (KeyError, ValueError):
+    except ValueError:
         return None
-    vectors = np.full((g.n, dim), np.nan)
-    vectors[ids] = values
-    # a non-finite value or a repeated token leaves fewer finite rows than rows
-    return vectors if np.count_nonzero(np.isfinite(vectors).all(axis=1)) == len(rows) else None
+    tokens = [row[:row.index(",")].strip() for row in rows]
+    if len(set(tokens)) < len(tokens) or not np.isfinite(values).all():
+        return None
+    return resolve_tokens(tokens, g), values
 
 
 def parse_vector_table(text, g: Graph) -> EmbeddingTable:
@@ -192,30 +193,26 @@ def parse_vector_table(text, g: Graph) -> EmbeddingTable:
     if header[0] != "node" or len(header) < 2:
         raise ParseError('header must be "node,d0,d1,..."', line_number=1)
     dim = len(header) - 1
-    vectors = _vector_block(lines[1:], dim, g)
-    if vectors is not None:
-        return EmbeddingTable(vectors)
+    block = _vector_block(lines[1:], dim, g)
+    if block is None:
+        seen: dict[str, int] = {}
+        rows = []
+        for ln, fields in _rows(lines[1:], ",", dim + 1, "fields", start=2):
+            token = fields[0]
+            if token in seen:
+                raise ParseError(f"duplicate token {token!r} (first at line {seen[token]})",
+                                 line_number=ln, token=token)
+            seen[token] = ln
+            try:
+                rows.append([float(f) for f in fields[1:]])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric value: {exc}", line_number=ln, token=token) from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError("non-finite value", line_number=ln, token=token)
+        block = resolve_tokens(list(seen), g), rows
+    ids, values = block
     vectors = np.full((g.n, dim), np.nan)
-    seen: dict[str, int] = {}
-    unknown: list[str] = []
-    for ln, fields in _rows(lines[1:], ",", dim + 1, "fields", start=2):
-        token = fields[0]
-        if token in seen:
-            raise ParseError(f"duplicate token {token!r} (first at line {seen[token]})",
-                             line_number=ln, token=token)
-        seen[token] = ln
-        try:
-            values = [float(f) for f in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric value: {exc}", line_number=ln, token=token) from None
-        if not all(math.isfinite(x) for x in values):
-            raise ParseError("non-finite value", line_number=ln, token=token)
-        if token not in g.token_index:
-            unknown.append(token)
-            continue
-        vectors[g.token_index[token]] = values
-    if unknown:
-        raise CoverageError("unknown vertex tokens", missing=tuple(unknown), kind="token")
+    vectors[ids] = np.reshape(values, (-1, dim))
     return EmbeddingTable(vectors)
 
 

@@ -7,8 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ArgumentError, BoundsError, CoverageError, DegenerateEmbeddingError
-from .graph import Graph, _hops, multi_source_bfs
+from .errors import ArgumentError, CoverageError, DegenerateEmbeddingError
+from .graph import Graph, _check_sources, _hops, multi_source_bfs
 
 DEFAULT_MAX_HOP = 5
 
@@ -99,11 +99,7 @@ def group_distance_point(g: Graph, v: int, S) -> float:
 
 def group_distance(g: Graph, S1, S2) -> float:
     """Directed max-min distance D_s(S1, S2); asymmetric."""
-    s1 = sorted({int(v) for v in S1})
-    if not s1:
-        raise ArgumentError("first vertex set is empty")
-    if s1[0] < 0 or s1[-1] >= g.n:
-        raise BoundsError(f"vertex out of range 0..{g.n - 1}")
+    s1 = _check_sources(g.n, S1)
     return _hops(multi_source_bfs(g, S2)[s1].max())
 
 

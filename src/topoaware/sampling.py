@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InternalInvariantError, SizeGuardError
-from .graph import (Graph, _hops, closeness_centrality, degrees, multi_source_bfs, pagerank,
-                    relax, seeded_rng)
+from .graph import (Graph, _check_sources, _hops, closeness_centrality, degrees,
+                    multi_source_bfs, pagerank, relax, seeded_rng)
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -79,9 +79,7 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     elif start == "random":
         first, policy = int(seeded_rng(rng_seed).integers(g.n)), "random"
     elif isinstance(start, (int, np.integer)) and not isinstance(start, bool):
-        first = int(start)
-        if not 0 <= first < g.n:
-            raise ArgumentError(f"start vertex {first} out of range 0..{g.n - 1}")
+        first = int(_check_sources(g.n, [start])[0])
         policy = f"vertex:{g.tokens[first]}"
     else:
         raise ArgumentError(f"unsupported start policy {start!r}")

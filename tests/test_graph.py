@@ -8,9 +8,10 @@ from scipy.sparse import csgraph
 import oracles
 from conftest import (LEVEL_CHARGES, count_calls, er_graph, id_graph, level_charge, path_graph,
                       tied_graph)
-from topoaware import (ArgumentError, BoundsError, EmptyGraphError, SizeGuardError,
-                       UNREACHABLE, build_graph, closeness_centrality, degrees,
-                       graph, multi_source_bfs, pagerank)
+from topoaware import (ArgumentError, BoundsError, EmbeddingTable, EmptyGraphError,
+                       SizeGuardError, UNREACHABLE, build_graph, closeness_centrality, degrees,
+                       graph, group_distance, kcenter_greedy, lipschitz_labels,
+                       multi_source_bfs, pagerank)
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
 
 
@@ -182,6 +183,31 @@ def test_msbfs_path_two_ends():
 def test_msbfs_empty_sources():
     with pytest.raises(ArgumentError):
         multi_source_bfs(path_graph(3), [])
+
+
+_ID_DOORS = {
+    "multi_source_bfs": lambda g, ids: multi_source_bfs(g, ids),
+    "relax": lambda g, ids: relax(g, multi_source_bfs(g, [0]), *ids),
+    "group_distance": lambda g, ids: group_distance(g, ids, [0]),
+    "lipschitz_labels": lambda g, ids: lipschitz_labels(
+        EmbeddingTable(np.arange(g.n, dtype=float).reshape(-1, 1)), ids),
+    "kcenter_greedy": lambda g, ids: kcenter_greedy(g, 2, start=ids[0]),
+}
+
+
+_ID_CASES = [*[(name, []) for name in ("multi_source_bfs", "group_distance", "lipschitz_labels")],
+             *[(name, [5]) for name in _ID_DOORS]]
+
+
+@pytest.mark.parametrize("name, ids", _ID_CASES,
+                         ids=[f"{name}-{'n' if ids else 'empty'}" for name, ids in _ID_CASES])
+def test_id_door_checks_every_id_set(name, ids):
+    # an empty set and an id of n raise _check_sources's errors, whoever takes them
+    want, message = ((ArgumentError, "source set is empty") if not ids
+                     else (BoundsError, "source out of range 0..4"))
+    with pytest.raises(ArgumentError) as exc:
+        _ID_DOORS[name](path_graph(5), ids)
+    assert (type(exc.value), str(exc.value)) == (want, message)
 
 
 @given(st.data())

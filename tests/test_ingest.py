@@ -244,14 +244,16 @@ def test_parse_vector_table_equals_the_row_loop_long(text):
 
 def test_parse_vector_table_takes_clean_rows_whole():
     g = build_graph([("a", "b"), ("c", "d"), ("x", "#a")])
-    want = np.full((g.n, 2), np.nan)
-    want[0], want[3] = [10.0, -0.0], [1.0, 2.0]
-    block = ingest._vector_block([" a ,\x8510\x0c,-0.0", "d,\x0c1\x85, 2 "], 2, g)
-    assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+    want = np.array([[10.0, -0.0], [1.0, 2.0]])
+    ids, values = ingest._vector_block([" a ,\x8510\x0c,-0.0", "d,\x0c1\x85, 2 "], 2, g)
+    assert ids == [0, 3] and np.array_equal(values.view(np.uint64), want.view(np.uint64))
     # digit groups and non-ASCII digits are left to the row loop's float()
-    for rows in [[], ["a,1"], ["a,1,2,3"], ["a,1,2", "a,3,4"], ["zz,1,2"], ["a,nan,1"],
+    for rows in [[], ["a,1"], ["a,1,2,3"], ["a,1,2", "a,3,4"], ["a,nan,1"],
                  ["a,1e400,1"], ["#a,1,2"], ["a,x,1"], [""], ["a,1_0,1"], ["a,١,1"]]:
         assert ingest._vector_block(rows, 2, g) is None, rows
+    # a block with no parse error left raises the row loop's CoverageError
+    with pytest.raises(CoverageError, match="^unknown vertex tokens: zz, yy$"):
+        ingest._vector_block(["zz,1,2", "a,1,2", "yy,3,4"], 2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +278,7 @@ def test_resolve_tokens_strict():
     with pytest.raises(CoverageError) as ei:
         resolve_tokens(["a", "zz", "qq"], g)
     assert ei.value.kind == "token"
-    assert set(ei.value.missing) == {"zz", "qq"}
+    assert ei.value.missing == ("zz", "qq")
 
 
 # ---------------------------------------------------------------------------
