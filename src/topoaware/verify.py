@@ -102,8 +102,9 @@ def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckR
 
 def _greedy_cases(rng, sparse_rng, graphs: int, n_max: int):
     """(graph, k, reference sweep) per greedy case: `graphs` small connected
-    graphs checked with the deque BFS, then one sparse connected graph from
-    `sparse_rng` checked with `multi_source_bfs`."""
+    graphs checked with the deque BFS, one sparse connected graph from
+    `sparse_rng` checked with `multi_source_bfs`, then a 2000-vertex path
+    checked with the deque BFS."""
     for _ in range(graphs):
         n = int(rng.integers(4, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.1, 0.4)), connected=True)
@@ -111,6 +112,9 @@ def _greedy_cases(rng, sparse_rng, graphs: int, n_max: int):
         yield g, int(rng.integers(1, 4)), lambda s, adj=adj: _reference_bfs(adj, s)
     g = _sparse_connected_graph(sparse_rng, SPARSE_N)
     yield g, SPARSE_K, lambda s: multi_source_bfs(g, [s])
+    path = _id_graph(2000, np.arange(1999), np.arange(1, 2000))
+    adj = _adjacency_lists(path)
+    yield path, 4, lambda s: _reference_bfs(adj, s)
 
 
 def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
@@ -120,8 +124,10 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
 
     On the small graphs n + nnz is below one level's charge, so once csgraph
     is imported every `relax` takes the full-sweep fallback (in a fresh
-    process, which has not, none does); on the last, sparse graph every
-    `relax` stays on its pruned branch."""
+    process, which has not, none does); on the sparse graph every `relax`
+    stays on its pruned branch. The last graph, a path, is deeper than the
+    budget of a fresh process, so its first BFS falls back to a csgraph
+    sweep there too, and every later `relax` then does."""
     cases = _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12))
     for case, (g, k, sweep) in enumerate(cases):
         sel = kcenter_greedy(g, k)
@@ -138,7 +144,7 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
             return CheckResult("greedy", False, case + 1, {
                 "case": case, "n": g.n, "k": k,
                 "greedy_objective": float(greedy), "optimal_objective": float(best)})
-    return CheckResult("greedy", True, graphs + 1)
+    return CheckResult("greedy", True, graphs + 2)
 
 
 def check_distortion(rng, samples: int, inject: bool = False) -> CheckResult:

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import topoaware.graph
-from topoaware import ArgumentError, SizeGuardError, kcenter_greedy, run_verify, verify
+from conftest import count_calls, csgraph_unimported
+from scipy.sparse import csgraph
+from topoaware import (ArgumentError, SizeGuardError, kcenter_greedy, run_verify, sampling,
+                       verify)
 from topoaware.verify import CHECK_NAMES
 
 
@@ -60,20 +63,21 @@ def test_greedy_check_compares_seeds_with_the_deque_reference(monkeypatch):
 
 @pytest.mark.parametrize("rng_seed", [0, 1])
 def test_greedy_check_large_case_keeps_relax_pruned(rng_seed, monkeypatch):
-    # a fallback is the one `multi_source_bfs` call `relax` makes; the
-    # traversal's first sweep goes through the name sampling imported
-    fallbacks = []
-    sweep = topoaware.graph.multi_source_bfs
+    # a fallback is a csgraph sweep inside `relax` (the traversal's first BFS
+    # may sweep); csgraph is imported here, so the budget is a warm process's
+    sweeps = count_calls(monkeypatch, topoaware.graph, "_sweep")
+    fallbacks, relax = [], sampling.relax
 
-    def counted(*args, **kwargs):
-        fallbacks.append(1)
-        return sweep(*args, **kwargs)
+    def counted(g, dist, source):
+        before = len(sweeps)
+        relax(g, dist, source)
+        fallbacks.append(len(sweeps) - before)
 
+    monkeypatch.setattr(sampling, "relax", counted)
     rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
     g = verify._sparse_connected_graph(rng, verify.SPARSE_N)
-    monkeypatch.setattr(topoaware.graph, "multi_source_bfs", counted)
     sel = kcenter_greedy(g, verify.SPARSE_K)
-    assert len(sel.seeds) == verify.SPARSE_K and not fallbacks
+    assert len(sel.seeds) == verify.SPARSE_K and fallbacks == [0] * (verify.SPARSE_K - 1)
 
 
 def test_greedy_check_compares_the_large_case(monkeypatch):
@@ -87,3 +91,12 @@ def test_greedy_check_compares_the_large_case(monkeypatch):
     greedy = run_verify(rng_seed=0, graphs=3, n_max=12)[1]
     assert not greedy.passed and greedy.cases == 4
     assert greedy.detail["n"] == verify.SPARSE_N
+
+
+def test_verify_takes_the_sweep_fallback_in_a_fresh_process(monkeypatch):
+    # with the budget of a CLI process, which has not imported csgraph, only
+    # the greedy check's path is deep enough to fall back to a sweep
+    sweeps = count_calls(monkeypatch, csgraph, "dijkstra")
+    with csgraph_unimported():
+        results = run_verify(0)
+    assert all(r.passed for r in results) and sweeps
