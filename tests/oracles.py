@@ -10,7 +10,6 @@ import itertools
 import math
 import re
 import warnings
-from collections import deque
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,34 +65,8 @@ def graphs_equal(g1, g2):
     return mine == theirs
 
 
-def adjacency_sets(n, edges):
-    """Neighbor sets from a collection of (u, v) id pairs."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
 # ---------------------------------------------------------------------------
 # distances
-
-
-def bfs_levels(adj, source):
-    """Level-synchronous deque BFS over neighbor sets. Returns float list, INF
-    for unreachable."""
-    n = len(adj)
-    dist = [INF] * n
-    dist[source] = 0.0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if dist[v] == INF:
-                dist[v] = dist[u] + 1.0
-                q.append(v)
-    return dist
 
 
 def floyd_warshall(n, edges):
@@ -471,30 +444,6 @@ def ordering_violations(hop_risks):
         if hi > hj and ri < rj:
             out.append((hi, hj))
     return sorted(out)
-
-
-# ---------------------------------------------------------------------------
-# random graph helpers for the suite
-
-
-def random_edge_ids(n, p, rng):
-    """Erdos-Renyi style id pairs."""
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v))
-    return edges
-
-
-def random_connected_edges(n, p, rng):
-    """ER pairs plus a random spanning chain so the graph is connected."""
-    edges = set(random_edge_ids(n, p, rng))
-    perm = list(rng.permutation(n))
-    for a, b in zip(perm, perm[1:]):
-        u, v = (a, b) if a < b else (b, a)
-        edges.add((int(u), int(v)))
-    return sorted(edges)
 
 
 # ---------------------------------------------------------------------------
