@@ -205,14 +205,14 @@ def parse_vector_table(text, g: Graph) -> EmbeddingTable:
             seen[token] = ln
             try:
                 rows.append([float(f) for f in fields[1:]])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric value: {exc}", line_number=ln, token=token) from None
+            except ValueError as e:
+                raise ParseError(f"non-numeric value: {e}", line_number=ln, token=token) from None
             if not all(map(math.isfinite, rows[-1])):
                 raise ParseError("non-finite value", line_number=ln, token=token)
         block = resolve_tokens(list(seen), g), rows
     ids, values = block
     vectors = np.full((g.n, dim), np.nan)
-    vectors[ids] = np.reshape(values, (-1, dim))
+    vectors[ids] = np.reshape(values, (-1, dim))  # rows == [] for a table without rows
     return EmbeddingTable(vectors)
 
 

@@ -4,10 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import topoaware.graph
 from conftest import count_calls, csgraph_unimported
-from scipy.sparse import csgraph
 from topoaware import (ArgumentError, SizeGuardError, kcenter_greedy, run_verify, sampling,
                        verify)
 from topoaware.verify import CHECK_NAMES
