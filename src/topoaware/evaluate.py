@@ -51,7 +51,9 @@ def empirical_risk(preds: PredictionTable, subset, loss: str) -> float:
     """Mean loss over the subset; zero_one only in classification mode."""
     if loss not in LOSSES:
         raise ArgumentError(f"loss must be one of {LOSSES}, got {loss!r}")
-    ids = _distinct(np.fromiter(subset, dtype=np.intp))
+    if not (isinstance(subset, np.ndarray) and subset.dtype.kind == "i" and subset.ndim == 1):
+        subset = np.fromiter(subset, dtype=np.intp)
+    ids = _distinct(subset)
     if not len(ids):
         raise ArgumentError("subset is empty")
     _require_coverage(preds.covered, ids, "predictions")

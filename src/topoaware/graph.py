@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,12 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     tokens: tuple[str, ...]
-    token_index: dict[str, int] = field(repr=False)
+
+    @cached_property
+    def token_index(self) -> dict[str, int]:
+        """token -> dense id, built on first use: a run that resolves no
+        token (`sample` without a start vertex) never builds it."""
+        return dict(zip(self.tokens, range(len(self.tokens))))
 
     @property
     def n(self) -> int:
@@ -106,25 +111,27 @@ def build_graph(edge_tokens) -> Graph:
         raise EmptyGraphError("no edges supplied")
     index: dict[str, int] = {}
     ids = np.array([index.setdefault(t, len(index)) for t in flat], dtype=np.int64)
-    return _csr_graph(index, ids[0::2], ids[1::2])
+    g = _csr_graph(tuple(index), ids[0::2], ids[1::2])
+    g.__dict__["token_index"] = index  # the cached_property's slot, so it is built once
+    return g
 
 
 def _id_graph(n: int, u, v) -> Graph:
     """The Graph over ids 0..n-1 (token "v{i}" for id i) of id pairs
     (u[j], v[j]); every id gets a vertex, paired or not."""
-    return _csr_graph({f"v{i}": i for i in range(n)}, u, v)
+    return _csr_graph(tuple(f"v{i}" for i in range(n)), u, v)
 
 
-def _csr_graph(index: dict, u, v) -> Graph:
-    """The one place a Graph's arrays are built, from the token -> id map and
-    two id arrays: self-loops are dropped, a repeated pair is kept once and
+def _csr_graph(tokens, u, v) -> Graph:
+    """The one place a Graph's arrays are built, from the tokens in id order
+    and two id arrays: self-loops are dropped, a repeated pair is kept once and
     every array is read-only. Both arcs of each pair are packed as u * n + v
     keys and sorted once; the index dtype is scipy's COO -> CSR choice,
     int32 unless n or the arc count needs int64."""
     u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
     keep = u != v
     u, v = u[keep], v[keep]
-    n = len(index)
+    n = len(tokens)
     keys = _distinct(np.concatenate([u * n + v, v * n + u]))
     dtype = np.int32 if max(n, keys.size) <= np.iinfo(np.int32).max else np.int64
     rows, cols = np.divmod(keys, n)
@@ -132,7 +139,7 @@ def _csr_graph(index: dict, u, v) -> Graph:
     indices = cols.astype(dtype)
     for arr in (indptr, indices):
         arr.setflags(write=False)
-    return Graph(indptr=indptr, indices=indices, tokens=tuple(index), token_index=index)
+    return Graph(indptr=indptr, indices=indices, tokens=tuple(tokens))
 
 
 def _check_sources(n: int, sources) -> np.ndarray:
@@ -264,11 +271,16 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10,
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     x = np.full(n, 1.0 / n)
     A = g.csr
+    teleport = (1.0 - damping) / n
+    scaled, change = np.empty(n), np.empty(n)
     for it in range(1, max_iter + 1):
-        spread = A @ (x * inv_deg)
-        dangle_mass = float(x[dangling].sum()) / n
-        nxt = damping * (spread + dangle_mass) + (1.0 - damping) / n
-        delta = float(np.abs(nxt - x).sum())
+        # damping * (A @ (x * inv_deg) + dangle_mass) + teleport in this
+        # order: the buffers are reused, and the bits are the expression's
+        nxt = A @ np.multiply(x, inv_deg, out=scaled)
+        nxt += float(x[dangling].sum()) / n
+        nxt *= damping
+        nxt += teleport
+        delta = float(np.abs(np.subtract(nxt, x, out=change), out=change).sum())
         x = nxt
         if delta < tol:
             return PageRankResult(scores=x, converged=True, iterations=it)

@@ -27,7 +27,9 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 def _lines(text: str) -> list[str]:
     """Lines split at CRLF, CR and LF only (str.splitlines also splits at
     form feeds, U+0085 and more), without the empty piece after a final break."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # 1.5 ms on a 31 MB table, against 41 ms for the two replace scans
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 
@@ -65,19 +67,19 @@ def parse_edge_list(text) -> list:
 _TOKEN_BYTE = bytes(b not in (9, 10, 11, 12, 13, 28, 29, 30, 31, 32) for b in range(256))
 # the non-ASCII characters str.split() splits at
 _WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
-# masks that keep the first k = 0..8 bytes of a big-endian uint64
-_PREFIX_MASK = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)], dtype=np.uint64)
+# masks that keep the first k = 0..8 bytes of a little-endian uint64
+_PREFIX_MASK = np.array([2**(8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
-    """(token -> id map, the id of every token in order) of a clean edge
-    list, with ids in first-seen order; None for text with a '#', CR, NUL,
-    non-ASCII whitespace or lone surrogate, or a line without 0 or 2 tokens.
+def _packed_ids(text) -> tuple[list, np.ndarray] | None:
+    """(tokens in first-seen order, the id of every token in order) of a
+    clean edge list; None for text with a '#', CR, NUL, non-ASCII whitespace
+    or lone surrogate, or a line without 0 or 2 tokens.
     Each token of the UTF-8 text is an exact key of ceil(longest / 8)
-    uint64 words (its bytes, zero-padded; a NUL would pad "a" to "a\\x00",
-    so text with one is declined), and one sort groups equal keys. Text
-    whose keys would outweigh it 8 to 1 (a long token among many short
-    ones) is declined too, so memory stays linear in the text."""
+    little-endian uint64 words (its bytes, zero-padded; a NUL would pad "a"
+    to "a\\x00", so text with one is declined), and one sort groups equal
+    keys. Text whose keys would outweigh it 8 to 1 (a long token among many
+    short ones) is declined too, so memory stays linear in the text."""
     if "#" in text or "\r" in text or "\x00" in text:
         return None
     if not text.isascii() and _WIDE_SPACE.search(text):
@@ -87,21 +89,24 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
     except UnicodeEncodeError:  # a lone surrogate
         return None
     inside = np.frombuffer((b" %b " % raw).translate(_TOKEN_BYTE), dtype=np.int8)
-    starts, ends = np.flatnonzero(np.diff(inside)).reshape(-1, 2).T
-    if not starts.size or starts.size % 2:
+    # `!=` and a bool nonzero: np.diff's int8 result took 2.5x as long to scan
+    starts, ends = np.flatnonzero(inside[1:] != inside[:-1]).reshape(-1, 2).T
+    if not starts.size:
         return None
-    line = np.searchsorted(np.flatnonzero(np.frombuffer(raw, np.uint8) == 10), starts)
-    if (line[0::2] != line[1::2]).any() or (np.diff(line[0::2]) <= 0).any():
-        return None  # a line without 0 or 2 tokens
+    # tokens per line: the token starts before each line break, differenced
+    before = np.searchsorted(starts, np.flatnonzero(np.frombuffer(raw, np.uint8) == 10))
+    per_line = np.diff(before, prepend=0, append=starts.size)
+    if ((per_line != 0) & (per_line != 2)).any():
+        return None
     size = ends - starts
     words = -(-int(size.max()) // 8)
     if words * starts.size > len(raw):
         return None
     buf = raw + bytes(8 * words)
-    at = np.ndarray(len(buf) - 7, dtype=">u8", buffer=buf, strides=(1,))
-    keys = [at[8 * w:][starts].astype(np.uint64) & _PREFIX_MASK[(size - 8 * w).clip(0, 8)]
-            for w in range(words)]
-    # lexsort took 4x argsort's time on one word of 10**6 keys
+    at = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))
+    keys = [at[8 * w:][starts] & _PREFIX_MASK[(size - 8 * w).clip(0, 8)] for w in range(words)]
+    # grouping needs equal keys together, not sorted bytes; lexsort took 4x
+    # argsort's time on one word of 10**6 keys
     order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
     differs = np.zeros(order.size - 1, dtype=bool)
     while keys:  # each word's sorted copy replaces it, so one copy is alive
@@ -109,22 +114,31 @@ def _packed_ids(text) -> tuple[dict, np.ndarray] | None:
         differs |= k[1:] != k[:-1]
     group = np.flatnonzero(np.concatenate([[True], differs]))
     first = np.minimum.reduceat(order, group)  # each distinct token's first position
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
     ids = np.empty_like(order)
-    ids[order] = np.argsort(np.argsort(first)).repeat(np.diff(group, append=order.size))
-    first.sort()
-    tokens = [raw[s:e].decode() for s, e in zip(starts[first].tolist(), ends[first].tolist())]
-    return dict(zip(tokens, range(len(tokens)))), ids
+    ids[order] = rank.repeat(np.diff(group, append=order.size))
+    # each distinct token's bytes and the byte after it, that byte set to
+    # "\n": token bytes are whole UTF-8 characters and never a line break
+    first = first[by_first]
+    span = size[first] + 1
+    gather = np.arange(int(span.sum())) - (span.cumsum() - span - starts[first]).repeat(span)
+    chars = np.frombuffer(buf, np.uint8)[gather]
+    chars[span.cumsum() - 1] = 10
+    return chars.tobytes().decode().split("\n")[:-1], ids
 
 
 def load_graph(text) -> Graph:
     """The Graph of an edge-list text, equal to
     build_graph(parse_edge_list(text)). A clean text is interned as one
     buffer by packed byte keys; any other text goes through the
-    line-by-line parser, which raises the ParseError with its line number."""
+    line-by-line parser, which raises the ParseError with its line number.
+    Its token index is built on first use."""
     packed = _packed_ids(text)
     if packed is not None:
-        index, ids = packed
-        return _csr_graph(index, ids[0::2], ids[1::2])
+        tokens, ids = packed
+        return _csr_graph(tokens, ids[0::2], ids[1::2])
     return build_graph(parse_edge_list(text))
 
 

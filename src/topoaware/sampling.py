@@ -102,7 +102,7 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
     seeds = [_highest_degree(g)]
     dist = multi_source_bfs(g, seeds)
     for _ in range(k - 1):
-        weights = np.where(np.isfinite(dist), dist, float(g.n))
+        weights = np.minimum(dist, float(g.n))  # finite hops are below n
         total = float(weights.sum())
         if total <= 0.0:
             raise InternalInvariantError("all candidate weights are zero")

@@ -150,6 +150,27 @@ def dense_pagerank(n, edges, damping, tol, max_iter):
     return x
 
 
+def sparse_pagerank(A, damping, tol, max_iter):
+    """(scores, converged, iterations) of the library's power iteration on
+    the 0/1 CSR matrix A, written with a new array for every step: the
+    library reuses buffers in the same operation order, so its bits must
+    equal these."""
+    n = A.shape[0]
+    deg = np.diff(A.indptr).astype(np.float64)
+    dangling = deg == 0.0
+    inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
+    x = np.full(n, 1.0 / n)
+    for it in range(1, max_iter + 1):
+        spread = A @ (x * inv_deg)
+        dangle_mass = float(x[dangling].sum()) / n
+        nxt = damping * (spread + dangle_mass) + (1.0 - damping) / n
+        delta = float(np.abs(nxt - x).sum())
+        x = nxt
+        if delta < tol:
+            return x, True, it
+    return x, False, max_iter
+
+
 def closeness_from_allpairs(dist_matrix):
     """Wasserman-Faust closeness: (rc/sum) * (rc/(n-1)); isolated vertex 0."""
     n = dist_matrix.shape[0]

@@ -71,6 +71,9 @@ def test_risk_all_correct_and_half():
     assert empirical_risk(t, {0, 1}, "zero_one") == 0.0
     t2 = table({0: 1, 1: 2}, {0: 1, 1: 3})
     assert empirical_risk(t2, {0, 1}, "zero_one") == 0.5
+    # an int array is taken as it is, repeats and order included
+    for ids in (np.array([1, 0, 1]), np.array([1, 0], dtype=np.int32), np.array([1, 0, 1.0])):
+        assert empirical_risk(t2, ids, "zero_one") == 0.5
 
 
 def test_risk_is_exact_complement_of_accuracy():

@@ -341,6 +341,24 @@ def test_pagerank_nonconvergence_flagged():
     assert abs(res.scores.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("dangling", [False, True])
+@pytest.mark.parametrize("damping, tol, max_iter", [(0.85, 1e-10, 200), (0.5, 1e-13, 500),
+                                                    (0.85, 1e-15, 3)])
+def test_pagerank_matches_the_sparse_loop_bit_for_bit(dangling, damping, tol, max_iter):
+    # connected graphs have no dangling vertex; three isolated ones added
+    rng = np.random.default_rng(5)
+    for n in (2, 17, 300):
+        g, edges = er_graph(rng, n, 0.05, connected=True)
+        if dangling:
+            g = id_graph(n + 3, edges)
+        assert (degrees(g) == 0).any() == dangling
+        got = pagerank(g, damping=damping, tol=tol, max_iter=max_iter)
+        scores, converged, iterations = oracles.sparse_pagerank(g.csr, damping, tol, max_iter)
+        assert got.scores.tobytes() == scores.tobytes()
+        assert (got.converged, got.iterations) == (converged, iterations)
+    assert converged == (max_iter > 3)
+
+
 def test_pagerank_rejects_bad_parameters():
     g = path_graph(3)
     for kwargs in ({"damping": 0.0}, {"damping": 1.0}, {"tol": 0.0}, {"max_iter": 0}):

@@ -111,14 +111,27 @@ _WIDE_SPACES = ("\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200b)))
 
 
 def test_load_graph_takes_clean_text_whole():
-    index, ids = ingest._packed_ids("a b\n\n c\td \nb a")
-    assert list(index.items()) == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
+    tokens, ids = ingest._packed_ids("a b\n\n c\td \nb a")
+    assert tokens == ["a", "b", "c", "d"]
     assert ids.tolist() == [0, 1, 2, 3, 1, 0]
     declined = ["", " \n", "\n \n", "a\n", "a a\x00\n", "a b\r\n", "a b\n#\n", "a b\n# c\n",
                 "a b c\n", "a b c d\n", "a\nb c d\n", "\ud800 b\n", "é\ud800 b\n"]
     declined += [f"a{c}b c\n" for c in _WIDE_SPACES]
     for text in declined:
         assert ingest._packed_ids(text) is None, text
+
+
+@pytest.mark.parametrize("text, packed", [("b a\nc b\n\nd d\n", True),
+                                          ("# note\nb a\nc b\n\nd d\n", False)])
+def test_load_graph_builds_the_token_index_on_first_use(text, packed):
+    # the packed path leaves the index to the first lookup; the row loop
+    # hands over the dict it interned with
+    g = load_graph(text)
+    assert (ingest._packed_ids(text) is not None) == packed
+    assert ("token_index" in g.__dict__) != packed
+    assert resolve_tokens(["d", "b"], g) == [3, 0]
+    assert list(g.token_index.items()) == list({t: i for i, t in enumerate(g.tokens)}.items())
+    assert g.tokens == ("b", "a", "c", "d")
 
 
 # tokens of 1-24 bytes with shared prefixes across the 8- and 16-byte word
@@ -166,6 +179,12 @@ def _packed_text(draw):
 @example("a\nb c\nd\n")
 @example("a b c d\n")
 @example("# a\nb c\n")
+@example("a b\nc")  # the per-line token counts: after the last break
+@example("a b\nc d e")
+@example("a\nb\n")  # an even total, one token a line
+@example("a b\n \t\n\nc d")  # empty and blank lines between pairs
+@example("\n\na b")
+@example(" \n\n")  # no token at all
 @given(_packed_text())
 def test_load_graph_packs_short_ascii_tokens_as_the_row_loop_reads_them(text):
     fast = _outcome(lambda: _graph_key(load_graph(text)))

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph
 
 import topoaware.graph
 from conftest import count_calls, csgraph_unimported
@@ -95,8 +94,9 @@ def test_greedy_check_compares_the_large_case(monkeypatch):
 
 def test_verify_takes_the_sweep_fallback_in_a_fresh_process(monkeypatch):
     # with the budget of a CLI process, which has not imported csgraph, only
-    # the greedy check's path is deep enough to fall back to a sweep
-    sweeps = count_calls(monkeypatch, csgraph, "dijkstra")
+    # the greedy check's path is deep enough to fall back to a sweep; a
+    # fresh `topoaware verify --seed 0` process makes 4 `_sweep` calls
+    sweeps = count_calls(monkeypatch, topoaware.graph, "_sweep")
     with csgraph_unimported():
         results = run_verify(0)
-    assert all(r.passed for r in results) and sweeps
+    assert all(r.passed for r in results) and len(sweeps) == 4
