@@ -158,15 +158,10 @@ def cmd_distortion(args, g) -> int:
     emb = parse_vector_table(_read(args.embeddings), g)
     part = partition_by_distance(g, seeds, args.max_hop)
     gd, ed, est = _estimate(args, part, emb)
-    payload = {
-        "r": est.r, "alpha": est.alpha, "min_ratio": est.min_ratio,
-        "max_ratio": est.max_ratio, "pair_count": est.pair_count,
-        "excluded_pairs": est.excluded_pairs,
+    payload = vars(est) | {
         "overflow_count": part.overflow_count,
         "unreachable_count": part.unreachable_count,
-        "profile": [{"hop": row.hop, "mean_distance": row.mean_distance,
-                     "std": row.std, "count": row.count}
-                    for row in hop_embedding_profile(gd, ed)],
+        "profile": [vars(row) for row in hop_embedding_profile(gd, ed)],
     }
     _report(args, "distortion", payload)
     return EXIT_OK
@@ -194,12 +189,9 @@ def cmd_sample(args, g) -> int:
     if from_fraction:
         sys.stderr.write(f"resolved k = {k} from fraction {args.fraction}\n")
     seed_tokens = [g.tokens[v] for v in sel.seeds]
-    payload = {
-        "seeds": seed_tokens,
+    payload = vars(sel) | {
+        "seeds": seed_tokens, "k": k,
         "seed_rows": [{"order": i, "token": t} for i, t in enumerate(seed_tokens)],
-        "k": k, "objective": sel.objective, "method": sel.method,
-        "rng_seed": sel.rng_seed, "full_cover": sel.full_cover,
-        "start_policy": sel.start_policy,
     }
     resolved = {"k": k, "k_resolved_from_fraction": from_fraction, "start": start_policy_str}
     if args.method == "centrality":
@@ -226,9 +218,7 @@ def cmd_evaluate(args, g) -> int:
     ordering = None
     if len(report.per_hop) >= 2:
         risks = [(k, 1.0 - acc) for k, acc, _ in report.per_hop]
-        oc = ordering_check(risks)
-        ordering = {"violations": [list(p) for p in oc.violations],
-                    "spearman": oc.spearman, "all_ties": oc.all_ties}
+        ordering = vars(ordering_check(risks))
     bounds = None
     if args.embeddings is not None:
         est = _estimate(args, part, parse_vector_table(_read(args.embeddings), g))[2]
@@ -252,8 +242,7 @@ def cmd_evaluate(args, g) -> int:
         "evaluated_count": len(evaluated),
         "overflow_count": part.overflow_count,
         "unreachable_count": part.unreachable_count,
-        "aggregate_distance": {"value": agg.value, "aggregator": agg.aggregator,
-                               "excluded_unreachable": agg.excluded_unreachable},
+        "aggregate_distance": vars(agg),
         "ordering": ordering,
         "bounds": bounds,
     }

@@ -47,8 +47,11 @@ def propagate(g: Graph, X: EmbeddingTable, layers: int) -> EmbeddingTable:
     H = np.asarray(X.vectors, dtype=np.float64)
     denom = (degrees(g) + 1.0)[:, None]
     A = g.csr
-    for _ in range(layers):
-        H = (A @ H + H) / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(layers):
+            H = (A @ H + H) / denom
+    if not np.isfinite(H).all():
+        raise ArgumentError("propagated features overflow float64")
     return EmbeddingTable(H)
 
 

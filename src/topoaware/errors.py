@@ -51,7 +51,8 @@ class CoverageError(TopoawareError, ValueError):
 
 
 class DegenerateEmbeddingError(TopoawareError, ValueError):
-    """A distance ratio of zero: distinct graph positions share an embedding."""
+    """A distance ratio of zero (distinct graph positions share an
+    embedding), or a distortion alpha beyond float64."""
 
 
 class InternalInvariantError(TopoawareError, RuntimeError):

@@ -271,16 +271,10 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10,
     inv_deg = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, deg))
     x = np.full(n, 1.0 / n)
     A = g.csr
-    teleport = (1.0 - damping) / n
-    scaled, change = np.empty(n), np.empty(n)
     for it in range(1, max_iter + 1):
-        # damping * (A @ (x * inv_deg) + dangle_mass) + teleport in this
-        # order: the buffers are reused, and the bits are the expression's
-        nxt = A @ np.multiply(x, inv_deg, out=scaled)
-        nxt += float(x[dangling].sum()) / n
-        nxt *= damping
-        nxt += teleport
-        delta = float(np.abs(np.subtract(nxt, x, out=change), out=change).sum())
+        dangle_mass = float(x[dangling].sum()) / n
+        nxt = damping * (A @ (x * inv_deg) + dangle_mass) + (1.0 - damping) / n
+        delta = float(np.abs(nxt - x).sum())
         x = nxt
         if delta < tol:
             return PageRankResult(scores=x, converged=True, iterations=it)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._version import __version__
 from .errors import ArgumentError, CoverageError, ParseError
 from .graph import Graph, _csr_graph, build_graph, degrees
-from .metrics import EmbeddingTable
+from .metrics import EmbeddingTable, ProfileRow
 
 SCHEMA_VERSION = "1"
 
@@ -353,14 +353,7 @@ def jsonable(value):
 
 def write_report(report: Report, format: str = "structured") -> str:
     if format == "structured":
-        doc = {
-            "schema_version": report.schema_version,
-            "tool_version": report.tool_version,
-            "parameters": report.parameters,
-            "payload_kind": report.payload_kind,
-            "payload": report.payload,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
     if format == "tabular":
         return _write_tabular(report)
     raise ArgumentError(f"format must be structured or tabular, got {format!r}")
@@ -373,12 +366,13 @@ def parse_report(text: str) -> Report:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid structured report: {exc.msg}",
                          line_number=exc.lineno) from None
-    for key in ("schema_version", "tool_version", "parameters", "payload_kind", "payload"):
+    if not isinstance(doc, dict):
+        raise ParseError("structured report must be a JSON object", line_number=1)
+    keys = [f.name for f in fields(Report)]
+    for key in keys:
         if key not in doc:
             raise ParseError(f"structured report missing key {key!r}", line_number=1)
-    return Report(parameters=doc["parameters"], payload_kind=doc["payload_kind"],
-                  payload=doc["payload"], schema_version=doc["schema_version"],
-                  tool_version=doc["tool_version"])
+    return Report(**{key: doc[key] for key in keys})
 
 
 def _fmt(value) -> str:
@@ -389,13 +383,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# payload kind -> (the payload's row list, its columns)
 _TABULAR_ROWS = {
-    "partition": ("hop\tcount", "hop_counts", ("hop", "count")),
-    "distortion": ("hop\tmean_distance\tstd\tcount", "profile",
-                   ("hop", "mean_distance", "std", "count")),
-    "seed_selection": ("order\ttoken", "seed_rows", ("order", "token")),
-    "evaluation": ("hop\taccuracy\tcount", "per_hop", ("hop", "accuracy", "count")),
-    "verify": ("check\tstatus", "check_rows", ("check", "status")),
+    "partition": ("hop_counts", ("hop", "count")),
+    "distortion": ("profile", tuple(f.name for f in fields(ProfileRow))),
+    "seed_selection": ("seed_rows", ("order", "token")),
+    "evaluation": ("per_hop", ("hop", "accuracy", "count")),
+    "verify": ("check_rows", ("check", "status")),
 }
 
 
@@ -403,7 +397,7 @@ def _write_tabular(report: Report) -> str:
     if report.payload_kind not in _TABULAR_ROWS:
         raise ArgumentError(
             f"payload kind {report.payload_kind!r} has no tabular form")
-    header, rows_key, columns = _TABULAR_ROWS[report.payload_kind]
+    rows_key, columns = _TABULAR_ROWS[report.payload_kind]
     out = [f"# schema_version={report.schema_version}",
            f"# tool_version={report.tool_version}",
            f"# payload_kind={report.payload_kind}"]
@@ -413,7 +407,7 @@ def _write_tabular(report: Report) -> str:
                if not isinstance(v, (list, dict))}
     for key in sorted(scalars):
         out.append(f"# {key}={_fmt(scalars[key])}")
-    out.append("# " + header)
+    out.append("# " + "\t".join(columns))
     for row in report.payload.get(rows_key, ()):
         out.append("\t".join(_fmt(row[c]) for c in columns))
     return "\n".join(out) + "\n"

@@ -146,7 +146,11 @@ def estimate_distortion(graph_dists, embed_dists,
             raise ArgumentError("all pairs were excluded as degenerate")
     min_ratio = float(ratios.min())
     max_ratio = float(ratios.max())
-    return DistortionEstimate(r=min_ratio, alpha=max_ratio / min_ratio,
+    alpha = max_ratio / min_ratio
+    if not np.isfinite(alpha):
+        raise DegenerateEmbeddingError(
+            f"distortion alpha = {max_ratio:g} / {min_ratio:g} overflows float64")
+    return DistortionEstimate(r=min_ratio, alpha=alpha,
                               pair_count=int(len(ratios)), min_ratio=min_ratio,
                               max_ratio=max_ratio, excluded_pairs=excluded)
 
@@ -206,7 +210,7 @@ def _point_to_set(emb: EmbeddingTable, vs: np.ndarray, seed_ids: np.ndarray,
     step = max(1, _POINT_TO_SET_ELEMENTS // k)
     out = np.empty(len(vs))
     loop = [np.empty(0, dtype=np.intp)]
-    # a row that overflows or meets a NaN here takes the loop, which warns as before
+    # a row that overflows or meets a NaN here takes the loop
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.add.reduce(seed_vecs * seed_vecs, axis=1)
         for start in range(0, len(vs), step):
@@ -235,10 +239,12 @@ def _exact_point_to_set(vectors: np.ndarray, vs: np.ndarray, seed_vecs: np.ndarr
     exact sum of squared differences to every seed vector."""
     step = max(1, _POINT_TO_SET_ELEMENTS // seed_vecs.size)
     out = np.empty(len(vs))
-    for start in range(0, len(vs), step):
-        diff = seed_vecs - vectors[vs[start:start + step], None, :]
-        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        out[start:start + step] = d.min(axis=1) if mode == "min" else d.mean(axis=1)
+    # a distance past float64 comes out inf, which estimate_distortion rejects
+    with np.errstate(over="ignore"):
+        for start in range(0, len(vs), step):
+            diff = seed_vecs - vectors[vs[start:start + step], None, :]
+            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+            out[start:start + step] = d.min(axis=1) if mode == "min" else d.mean(axis=1)
     return out
 
 

@@ -152,9 +152,8 @@ def dense_pagerank(n, edges, damping, tol, max_iter):
 
 def sparse_pagerank(A, damping, tol, max_iter):
     """(scores, converged, iterations) of the library's power iteration on
-    the 0/1 CSR matrix A, written with a new array for every step: the
-    library reuses buffers in the same operation order, so its bits must
-    equal these."""
+    the 0/1 CSR matrix A, one named array per step in the library's
+    operation order, so its bits must equal these."""
     n = A.shape[0]
     deg = np.diff(A.indptr).astype(np.float64)
     dangling = deg == 0.0

@@ -210,6 +210,16 @@ def test_embed_rejects_bad_layers(capsys, ws):
     assert code == 2
 
 
+def test_embed_overflowing_features_is_usage_error(capsys, ws):
+    tmp, graph, _ = ws
+    features = tmp / "huge.csv"
+    features.write_text("node,d0\nv0,1e308\nv1,-1e308\nv2,1e308\nv3,-1e308\nv4,1e308\n")
+    code, out, err = run(capsys, ["embed", "--graph", str(graph), "--features", str(features),
+                                  "--layers", "3"])
+    assert (code, out) == (2, "")
+    assert err == "usage error: propagated features overflow float64\n"
+
+
 def test_embed_one_hot_size_guard_is_usage_error(capsys, tmp_path):
     graph = tmp_path / "path.txt"
     graph.write_text(write_edge_list(id_graph(5001, [(i, i + 1) for i in range(5000)])))
@@ -298,6 +308,26 @@ def test_distortion_degenerate_embedding_exit_code(capsys, ws):
     code, _, err = run(capsys, ["distortion", "--graph", str(graph),
                                 "--seeds", str(seeds), "--embeddings", str(emb)])
     assert code == 5 and "degenerate" in err.lower()
+
+
+def test_distortion_alpha_overflow_is_degenerate(capsys, ws):
+    tmp, graph, seeds = ws
+    emb = tmp / "wide.csv"
+    emb.write_text("node,d0\nv0,0.0\nv1,1e-160\nv2,1e150\nv3,2.0\nv4,3.0\n")
+    code, out, err = run(capsys, ["distortion", "--graph", str(graph),
+                                  "--seeds", str(seeds), "--embeddings", str(emb)])
+    assert (code, out) == (5, "")
+    assert err.count("\n") == 1 and err.startswith("degenerate data: distortion alpha")
+
+
+def test_distortion_overflowing_distance_is_usage_error(capsys, ws):
+    tmp, graph, seeds = ws
+    emb = tmp / "far.csv"
+    emb.write_text("node,d0\nv0,0.0\nv1,1.0\nv2,1e308\nv3,2.0\nv4,3.0\n")
+    code, out, err = run(capsys, ["distortion", "--graph", str(graph),
+                                  "--seeds", str(seeds), "--embeddings", str(emb)])
+    assert (code, out) == (2, "")
+    assert err == "usage error: embedding distances must be finite and non-negative\n"
 
 
 def test_distortion_missing_coverage_reports_tokens(capsys, ws):

@@ -71,6 +71,12 @@ def test_propagate_row_count_mismatch():
         propagate(g, one_hot_features(g), layers=0)
 
 
+def test_propagate_overflow_is_argument_error():
+    X = EmbeddingTable(np.array([[1e308], [-1e308], [1e308], [-1e308], [1e308]]))
+    with pytest.raises(ArgumentError, match="overflow float64"):
+        propagate(path_graph(5), X, layers=3)
+
+
 def test_propagate_constant_features_are_fixed_point():
     rng = np.random.default_rng(2)
     g, _ = er_graph(rng, 15, 0.3)

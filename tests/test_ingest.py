@@ -498,6 +498,16 @@ def test_report_parse_errors():
     assert "missing key" in str(ei.value)
 
 
+@pytest.mark.parametrize("text", [
+    "null", "1", '"schema_version tool_version parameters payload_kind payload"',
+    '["schema_version", "tool_version", "parameters", "payload_kind", "payload"]',
+])
+def test_report_that_is_not_an_object_is_parse_error(text):
+    with pytest.raises(ParseError) as ei:
+        parse_report(text)
+    assert str(ei.value) == "line 1: structured report must be a JSON object"
+
+
 def test_report_tabular_layout():
     text = write_report(sample_report(), format="tabular")
     lines = text.splitlines()

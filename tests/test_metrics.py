@@ -187,6 +187,11 @@ def test_distortion_zero_ratio_is_hard_error():
     assert "1" in str(ei.value)
 
 
+def test_distortion_alpha_overflow_is_degenerate():
+    with pytest.raises(DegenerateEmbeddingError, match="overflows float64"):
+        estimate_distortion([1, 2], [1e-160, 1e150])
+
+
 def test_distortion_zero_ratio_excluded_on_request():
     est = estimate_distortion([1, 2], [1.0, 0.0], exclude_zero_ratios=True)
     assert est.pair_count == 1 and est.excluded_pairs == 1
