@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -158,38 +157,37 @@ def _check_sources(n: int, sources) -> np.ndarray:
 # machine); charging about twice that holds a call that falls back on a long
 # path to about 1.5 sweeps.
 RELAX_LEVEL_CHARGE = 8192
-# The first sweep of a process also imports scipy.sparse and its csgraph
+# A graph's first sweep may also import scipy.sparse and its csgraph
 # (0.27-0.31 s on the same machine, about 3 * 10**7 units). Until then a loop
-# may do this much more work, 512 levels: a graph of up to about 500 levels
-# (the golden and benchmark graphs among them) never loads scipy, while a
-# deeper one loses about 11 ms of path levels before it pays the import.
+# on that graph may do this much more work, 512 levels: a graph of up to about
+# 500 levels (the golden and benchmark graphs among them) never loads scipy,
+# while a deeper one loses about 11 ms of path levels before it pays the import.
 SCIPY_IMPORT_CHARGE = 2**22
 
 
 def multi_source_bfs(g: Graph, sources) -> np.ndarray:
     """result[v] = min hop distance from v to any source; UNREACHABLE across
     components. The sources are exactly the vertices at distance 0."""
-    src = _check_sources(g.n, sources)
     dist = np.full(g.n, UNREACHABLE)
-    dist[src] = 0.0
-    return dist if _lower(g, dist, src) else _sweep(g, src)
+    relax(g, dist, sources)
+    return dist
 
 
-def relax(g: Graph, dist: np.ndarray, source) -> None:
-    """Lower `dist` in place to min(dist, hops from `source`).
-
-    `dist` must be a `multi_source_bfs` array, or one already relaxed, so
-    only vertices whose distance improves need expanding (pruned BFS, Akiba,
-    Iwata and Yoshida 2013). Past the budget of `_lower`, the rest is one
-    sweep from `source` and a minimum, so once csgraph is imported a call
-    costs at most about two sweeps.
+def relax(g: Graph, dist: np.ndarray, sources) -> None:
+    """Lower `dist` in place to min(dist, hops from `sources`), skipping
+    sources already at 0. `dist` must be all UNREACHABLE or a relaxed array,
+    so only vertices whose distance improves need expanding (pruned BFS,
+    Akiba, Iwata and Yoshida 2013). Past the budget of `_lower`, the rest is
+    one sweep and a minimum (the same bits: every lowered value is a path
+    length), so once the graph has swept a call costs at most about two sweeps.
     """
-    s = int(_check_sources(g.n, [source])[0])
-    if dist[s] == 0:
+    src = _check_sources(g.n, sources)
+    src = src[dist[src] != 0]
+    if not src.size:
         return
-    dist[s] = 0.0
-    if not _lower(g, dist, np.array([s])):
-        np.minimum(dist, _sweep(g, [s]), out=dist)
+    dist[src] = 0.0
+    if not _lower(g, dist, src):
+        np.minimum(dist, _sweep(g, src), out=dist)
 
 
 def _lower(g: Graph, dist: np.ndarray, frontier: np.ndarray) -> bool:
@@ -197,12 +195,10 @@ def _lower(g: Graph, dist: np.ndarray, frontier: np.ndarray) -> bool:
     setting dist[v] = level for each gathered neighbour with dist[v] > level:
     every BFS in the library is this loop. Each level is charged its
     gathered neighbours plus RELAX_LEVEL_CHARGE; once the charge passes one
-    sweep's n + nnz (plus SCIPY_IMPORT_CHARGE while csgraph is not
-    imported) it returns False, and every distance it lowered is still the
+    sweep's n + nnz (plus SCIPY_IMPORT_CHARGE until the graph's first
+    `_sweep`) it returns False, and every distance it lowered is still the
     length of a path."""
-    budget = g.n + g.indices.size
-    if "scipy.sparse.csgraph" not in sys.modules:
-        budget += SCIPY_IMPORT_CHARGE
+    budget = g.n + g.indices.size + (0 if "swept" in vars(g) else SCIPY_IMPORT_CHARGE)
     indptr, indices = g.indptr, g.indices
     work, level = 0, 0
     while frontier.size:
@@ -229,9 +225,11 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 
 def _sweep(g: Graph, sources) -> np.ndarray:
-    """Hop distances to the nearest source by one csgraph C sweep."""
+    """Hop distances to the nearest source by one csgraph C sweep, recorded
+    on the graph (as a cached property is) so that its loops stop paying the import."""
     from scipy.sparse import csgraph
 
+    g.__dict__["swept"] = True
     return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
                             indices=sources, min_only=True)
 

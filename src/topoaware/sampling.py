@@ -88,7 +88,7 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
     for _ in range(k - 1):
         nxt = int(np.argmax(dist))
         seeds.append(nxt)
-        relax(g, dist, nxt)
+        relax(g, dist, [nxt])
     return _finish(g, seeds, dist, "kcenter_greedy", rng_seed, policy)
 
 
@@ -108,7 +108,7 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
             raise InternalInvariantError("all candidate weights are zero")
         nxt = int(rng.choice(g.n, p=weights / total))
         seeds.append(nxt)
-        relax(g, dist, nxt)
+        relax(g, dist, [nxt])
     return _finish(g, seeds, dist, "coverage_sampling", rng_seed)
 
 

@@ -122,12 +122,11 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
     """Farthest-first seeds equal to a reference traversal, and their
     objective within 2x the exhaustive optimum where brute force is allowed.
 
-    On the small graphs n + nnz is below one level's charge, so once csgraph
-    is imported every `relax` takes the full-sweep fallback (in a fresh
-    process, which has not, none does); on the sparse graph every `relax`
-    stays on its pruned branch. The last graph, a path, is deeper than the
-    budget of a fresh process, so its first BFS falls back to a csgraph
-    sweep there too, and every later `relax` then does."""
+    On the small graphs n + nnz is below one level's charge, so each stays
+    in numpy only because a graph's loops are charged the scipy import until
+    its first sweep; on the sparse graph every `relax` stays on its pruned
+    branch. The last graph, a path, is deeper than that budget, so its first
+    BFS falls back to a csgraph sweep, and every later `relax` then does."""
     cases = _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12))
     for case, (g, k, sweep) in enumerate(cases):
         sel = kcenter_greedy(g, k)

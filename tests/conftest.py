@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import sys
 
 import numpy as np
 import pytest
@@ -100,30 +99,6 @@ def level_charge(name):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(topoaware.graph, "RELAX_LEVEL_CHARGE", LEVEL_CHARGES[name])
-        yield
-
-
-@contextlib.contextmanager
-def csgraph_unimported():
-    """The frontier loop's budget as in a fresh CLI process, which has not
-    imported scipy.sparse.csgraph: SCIPY_IMPORT_CHARGE is added to each
-    call's budget until the first fallback sweep, which puts the module back
-    in sys.modules as that sweep's import would. The module object stays
-    bound to scipy.sparse, so the sweep finds it (and a patched `dijkstra`)
-    there."""
-    import scipy.sparse.csgraph as module
-
-    import topoaware.graph
-
-    sweep = topoaware.graph._sweep
-
-    def imported_sweep(*args):
-        sys.modules["scipy.sparse.csgraph"] = module
-        return sweep(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delitem(sys.modules, "scipy.sparse.csgraph")
-        mp.setattr(topoaware.graph, "_sweep", imported_sweep)
         yield
 
 

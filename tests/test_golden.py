@@ -34,7 +34,7 @@ from pathlib import Path
 import pytest
 from scipy.sparse import csgraph
 
-from conftest import count_calls, csgraph_unimported
+from conftest import count_calls
 from topoaware import build_graph, graph, ingest, parse_edge_list, sampling
 from topoaware.cli import main
 
@@ -150,14 +150,12 @@ def test_connected_graph_has_one_component():
     assert csgraph.connected_components(g.csr, directed=False)[0] == 1
 
 
-# run -> (frontier loops, csgraph.dijkstra sweeps, relax calls): one
-# seed-distance array per run, one objective array for a score baseline, and
-# for a greedy run one array for the first seed and one relax per later seed.
-# Each array and each relax is one frontier loop. In a process that has not
-# imported csgraph (every CLI run on graph.txt) no loop passes its budget of
-# n + nnz + SCIPY_IMPORT_CHARGE; once csgraph is imported, every loop falls
-# back to one sweep, because n + nnz = 302 + 962 is below the
-# RELAX_LEVEL_CHARGE of its first level.
+# run -> (frontier loops, relax calls): one seed-distance array per run, one
+# objective array for a score baseline, and for a greedy run one array for
+# the first seed and one relax per later seed. Each array and each relax is
+# one frontier loop, and none passes its budget of n + nnz +
+# SCIPY_IMPORT_CHARGE, so no run sweeps: a graph's loops are charged the
+# import until its first sweep, and each run loads its graph afresh.
 BFS_COUNTS = {
     "partition": (CASES["partition"][0], 1, 0),
     "distortion": (CASES["distortion_min"][0], 1, 0),
@@ -176,13 +174,9 @@ def test_bfs_sweeps_per_run(name, capsys, monkeypatch):
     sweeps = count_calls(monkeypatch, csgraph, "dijkstra")
     relaxes = count_calls(monkeypatch, sampling, "relax")
     monkeypatch.chdir(GOLDEN)
-    for state, want_sweeps in ((csgraph_unimported(), 0), (contextlib.nullcontext(), want_loops)):
-        for calls in (loops, sweeps, relaxes):
-            calls.clear()
-        with state:
-            code, _, err = _run_case(argv, capsys)
-        assert code == 0, err
-        assert (len(loops), len(sweeps), len(relaxes)) == (want_loops, want_sweeps, want_relaxes)
+    code, _, err = _run_case(argv, capsys)
+    assert code == 0, err
+    assert (len(loops), len(sweeps), len(relaxes)) == (want_loops, 0, want_relaxes)
 
 
 def _loads_scipy(argvs, cwd) -> list[bool]:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +15,9 @@ from topoaware import (ArgumentError, BoundsError, EmbeddingTable, EmptyGraphErr
                        graph, group_distance, kcenter_greedy, lipschitz_labels,
                        multi_source_bfs, pagerank)
 from topoaware.graph import CLOSENESS_MAX_N, _id_graph, relax, seeded_rng
+from topoaware.ingest import load_graph
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 @pytest.mark.parametrize("seed", [None, -1, 1.5, "7", [3, -2]])
@@ -187,7 +192,7 @@ def test_msbfs_empty_sources():
 
 _ID_DOORS = {
     "multi_source_bfs": lambda g, ids: multi_source_bfs(g, ids),
-    "relax": lambda g, ids: relax(g, multi_source_bfs(g, [0]), *ids),
+    "relax": lambda g, ids: relax(g, multi_source_bfs(g, [0]), ids),
     "group_distance": lambda g, ids: group_distance(g, ids, [0]),
     "lipschitz_labels": lambda g, ids: lipschitz_labels(
         EmbeddingTable(np.arange(g.n, dtype=float).reshape(-1, 1)), ids),
@@ -251,7 +256,7 @@ def test_relax_chain_matches_multi_source_bfs(charge, seed):
     with pytest.MonkeyPatch.context() as mp, level_charge(charge):
         loops, sweeps = _counting_bfs(mp)
         for s in seeds[1:]:
-            relax(g, dist, s)
+            relax(g, dist, [s])
     assert np.array_equal(dist, multi_source_bfs(g, seeds))
     # one frontier loop per source not already in the set, each falling
     # back to one sweep or none of them
@@ -259,21 +264,36 @@ def test_relax_chain_matches_multi_source_bfs(charge, seed):
     assert (len(loops), len(sweeps)) == (fresh, 0 if charge == "pruned" else fresh)
 
 
+def test_import_charge_lasts_until_the_graphs_first_sweep():
+    # csgraph is imported in this process, yet a fresh graph's loop keeps the
+    # import charge, as in a fresh CLI process, until that graph sweeps once
+    g = load_graph((GOLDEN / "graph.txt").read_text(encoding="utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        loops, sweeps = _counting_bfs(mp)
+        want = multi_source_bfs(g, [0])
+        assert (len(loops), len(sweeps)) == (1, 0)
+        graph._sweep(g, [1])
+        loops.clear()
+        sweeps.clear()
+        assert np.array_equal(multi_source_bfs(g, [0]), want)
+        assert (len(loops), len(sweeps)) == (1, 1)
+
+
 def test_relax_path_from_the_middle():
     g = path_graph(7)
     dist = multi_source_bfs(g, [0])
-    relax(g, dist, 4)
+    relax(g, dist, [4])
     assert list(dist) == [0, 1, 2, 1, 0, 1, 2]
 
 
 def test_relax_reaches_a_new_component_and_checks_bounds():
     g = build_graph([("0", "1"), ("2", "3"), ("4", "4")])
     dist = multi_source_bfs(g, [0])
-    relax(g, dist, 3)
-    relax(g, dist, 4)
+    relax(g, dist, [3])
+    relax(g, dist, [4])
     assert list(dist) == [0, 1, 1, 0, 0]
     with pytest.raises(BoundsError):
-        relax(g, dist, 5)
+        relax(g, dist, [5])
 
 
 # ---------------------------------------------------------------------------
