@@ -51,7 +51,7 @@ RANDOMIZED_METHODS = ("coverage", "random")
 
 def _read(path: str) -> str:
     try:
-        data = Path(path).read_bytes()
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")  # a leading BOM
     except OSError as exc:
         raise ArgumentError(f"cannot read {path}: {exc.strerror}") from None
     try:
@@ -196,9 +196,11 @@ def cmd_sample(args, g) -> int:
     resolved = {"k": k, "k_resolved_from_fraction": from_fraction, "start": start_policy_str}
     if args.method == "centrality":
         resolved["centrality_variant"] = "closeness"
+    # built first, so that a refused token leaves no report behind
+    seeds_text = None if args.seeds_out is None else write_token_list(seed_tokens)
     _report(args, "seed_selection", payload, **resolved)
-    if args.seeds_out is not None:
-        _emit(write_token_list(seed_tokens), args.seeds_out)
+    if seeds_text is not None:
+        _emit(seeds_text, args.seeds_out)
     return EXIT_OK
 
 

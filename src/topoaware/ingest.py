@@ -52,6 +52,20 @@ def _rows(lines, sep, width, noun, start=1):
         yield ln, fields
 
 
+def _check_tokens(tokens, noun: str, comma: bool = False) -> None:
+    """Raise ArgumentError naming the first token that the reader of a
+    `noun` would skip or split: one that is empty, holds whitespace (what
+    str.split splits at, which is re's \\s) or starts with '#' or a BOM, and
+    with `comma` one that holds ','. Clean tokens cost three C-level scans
+    of their join; only a refusal looks at each token."""
+    unreadable = r"\n[#\ufeff]|[^\S\n]" + ("|," if comma else "")
+    text = "\n" + "\n".join(tokens)
+    if tokens and ("" in tokens or text.count("\n") > len(tokens) or re.search(unreadable, text)):
+        bad = next(t for t in tokens if not t or "\n" in t or re.search(unreadable, "\n" + t))
+        raise ArgumentError(f"token {bad!r} cannot be written to a {noun}: "
+                            "its reader would skip or split it")
+
+
 # ---------------------------------------------------------------------------
 # edge lists
 
@@ -145,6 +159,7 @@ def load_graph(text) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Edges in dense-id order; isolated vertices appear as trailing
     self-loop lines so a round trip registers their tokens."""
+    _check_tokens(g.tokens, "edge list")
     out = [f"{a} {b}" for a, b in g.edge_token_pairs()]
     out += [f"{g.tokens[u]} {g.tokens[u]}" for u in np.flatnonzero(degrees(g) == 0).tolist()]
     return "\n".join(out) + ("\n" if out else "")
@@ -160,6 +175,7 @@ def parse_token_list(text) -> list:
 
 
 def write_token_list(tokens) -> str:
+    _check_tokens(tokens, "token list")
     return "\n".join(tokens) + ("\n" if tokens else "")
 
 
@@ -233,10 +249,13 @@ def parse_vector_table(text, g: Graph) -> EmbeddingTable:
 def write_vector_table(emb: EmbeddingTable, g: Graph) -> str:
     """Covered rows in dense-id order under the standard header; float repr
     is shortest-round-trip so write -> parse is exact."""
+    ids = np.flatnonzero(emb.covered).tolist()
+    tokens = [g.tokens[v] for v in ids]
+    _check_tokens(tokens, "vector table", comma=True)
     out = ["node," + ",".join(f"d{i}" for i in range(emb.dim))]
-    for v in np.flatnonzero(emb.covered).tolist():
+    for token, v in zip(tokens, ids):
         # a row at a time: one tolist() of a 100k x 16 table added 60 MB to peak RSS
-        out.append(g.tokens[v] + "," + ",".join(map(repr, emb.vectors[v].tolist())))
+        out.append(token + "," + ",".join(map(repr, emb.vectors[v].tolist())))
     return "\n".join(out) + "\n"
 
 
@@ -297,6 +316,7 @@ def parse_label_table(text) -> LabelTable:
 def write_label_table(table: LabelTable) -> str:
     """Rows sorted by token, each label as its repr (an int, or the shortest
     float that reads back exactly)."""
+    _check_tokens(table.tokens, "label table", comma=True)
     rows = sorted(zip(table.tokens, table.values.tolist()))
     return "node,label\n" + "".join(f"{token},{v!r}\n" for token, v in rows)
 

@@ -14,6 +14,8 @@ from topoaware import (build_graph, cli, errors, one_hot_features, parse_edge_li
                        write_edge_list, write_label_table, write_token_list)
 from topoaware.cli import main
 
+BOM = b"\xef\xbb\xbf"
+
 
 @pytest.fixture
 def ws(tmp_path):
@@ -481,11 +483,55 @@ def test_bad_edge_file_is_parse_error(capsys, tmp_path):
 def test_non_utf8_input_is_parse_error(capsys, ws):
     _, _, seeds = ws
     bad = seeds.parent / "latin1.txt"
-    bad.write_bytes(b"v0 v1\n\xff v2\n")
-    code, out, err = run(capsys, ["partition", "--graph", str(bad),
-                                  "--seeds", str(seeds)])
-    assert (code, out) == (3, "")
-    assert err == "parse error: line 2: not valid UTF-8 (byte 0xff)\n"
+    for prefix in (b"", BOM):  # the byte and line do not count a leading BOM
+        bad.write_bytes(prefix + b"v0 v1\n\xff v2\n")
+        code, out, err = run(capsys, ["partition", "--graph", str(bad),
+                                      "--seeds", str(seeds)])
+        assert (code, out) == (3, "")
+        assert err == "parse error: line 2: not valid UTF-8 (byte 0xff)\n"
+
+
+def test_a_leading_bom_is_ignored(capsys, tmp_path, monkeypatch):
+    # a BOM would otherwise join the first token, or the vector table's header
+    texts = {"graph.txt": "a b\nb c\nc d\n", "seeds.txt": "a\n",
+             "emb.csv": "node,d0\na,0.0\nb,1.0\nc,2.0\nd,3.0\n"}
+    argv = ["distortion", "--graph", "graph.txt", "--seeds", "seeds.txt",
+            "--embeddings", "emb.csv"]
+    outs = []
+    for prefix in (b"", BOM):
+        (tmp_path / str(len(outs))).mkdir()
+        monkeypatch.chdir(tmp_path / str(len(outs)))
+        for name, text in texts.items():
+            Path(name).write_bytes(prefix + text.encode())
+        outs.append(run_json(capsys, argv))
+    assert outs[1] == outs[0] and outs[1][0]["payload"]["pair_count"] == 3
+
+
+_HASH_PATH = "x #a\nx y\ny z\nz w\n"
+_KCENTER_FROM_HASH = ["sample", "--method", "kcenter", "--k", "2", "--start", "vertex", "#a"]
+
+
+# edge list, argv after --graph (OUT: a path in tmp_path), the refused token and
+# the writer's noun
+@pytest.mark.parametrize("edges, argv, token, noun", [
+    (_HASH_PATH, [*_KCENTER_FROM_HASH, "--seeds-out", "OUT"], "#a", "token list"),
+    (_HASH_PATH, [*_KCENTER_FROM_HASH, "--seeds-out", "OUT", "--out", "OUT"], "#a", "token list"),
+    ("x #a\nw #a\nw y\n", ["embed", "--out", "OUT"], "#a", "vector table"),
+    ("a,z b\nb c\n", ["embed", "--out", "OUT"], "a,z", "vector table"),
+], ids=["seeds_out", "seeds_out_and_report", "embed_hash", "embed_comma"])
+def test_a_token_the_reader_would_not_read_back_is_refused(capsys, tmp_path, edges, argv,
+                                                           token, noun):
+    graph = tmp_path / "graph.txt"
+    graph.write_text(edges)
+    outs = [tmp_path / f"out{i}" for i in range(argv.count("OUT"))]
+    paths = iter(outs)
+    argv = [argv[0], "--graph", str(graph),
+            *[str(next(paths)) if a == "OUT" else a for a in argv[1:]]]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: token {token!r} cannot be written to a {noun}: "
+                   "its reader would skip or split it\n")
+    assert not any(path.exists() for path in outs)
 
 
 def test_unknown_seed_token_is_coverage_error(capsys, ws):

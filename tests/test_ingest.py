@@ -9,7 +9,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 import oracles
 from conftest import er_graph, label_table, path_graph
-from topoaware import (ArgumentError, CoverageError, EmbeddingTable,
+from topoaware import (ArgumentError, CoverageError, EmbeddingTable, LabelTable,
                        ParseError, Report, TopoawareError, build_graph, ingest,
                        jsonable, load_graph, parse_edge_list, parse_label_table,
                        parse_report, parse_token_list, parse_vector_table, propagate,
@@ -451,6 +451,60 @@ def test_label_table_round_trip():
         back = parse_label_table(write_label_table(label_table(values, mode)))
         assert dict(zip(back.tokens, back.values.tolist())) == values and back.mode == mode
         assert back.tokens == tuple(sorted(values))
+
+
+# letters, the readers' comment and field characters, a space, and non-ASCII
+# characters: two that str.split splits at, a BOM and two that are plain
+_TOKEN_CHARS = "ab#, \xe9\u65e5\xa0\u2028\ufeff"
+
+
+def _written(write, args, tokens, comma):
+    """write(*args), or None when it refuses a token: it must refuse exactly
+    when one of `tokens` is one a reader skips or splits (empty, whitespace,
+    a leading '#' or BOM, or in a comma table a ','), and name the first."""
+    bad = [t for t in tokens if t.split() != [t] or t[0] in "#\ufeff" or (comma and "," in t)]
+    try:
+        text = write(*args)
+    except ArgumentError as exc:
+        assert bad and str(exc).startswith(f"token {bad[0]!r} cannot be written")
+        return None
+    assert not bad
+    return text
+
+
+@given(st.lists(st.text(_TOKEN_CHARS, max_size=3), min_size=1, max_size=6, unique=True),
+       st.data())
+def test_writers_refuse_or_read_back_every_token(tokens, data):
+    text = _written(write_token_list, [tokens], tokens, False)
+    assert text is None or parse_token_list(text) == tokens
+    names = [t for t in tokens if t]  # a Graph token is not empty
+    if names:
+        pairs = data.draw(st.lists(st.tuples(*[st.sampled_from(names)] * 2), min_size=1))
+        g = build_graph(pairs)
+        text = _written(write_edge_list, [g], g.tokens, False)
+        assert text is None or load_graph(text) == g
+        covered = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        dim = data.draw(st.integers(1, 3))
+        size = int(covered.sum()) * dim
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vectors = np.full((g.n, dim), np.nan)
+        vectors[covered] = np.reshape(data.draw(st.lists(finite, min_size=size, max_size=size)),
+                                      (-1, dim))
+        text = _written(write_vector_table, [EmbeddingTable(vectors), g],
+                        [g.tokens[v] for v in np.flatnonzero(covered)], True)
+        assert text is None or parse_vector_table(text, g).vectors.tobytes() == vectors.tobytes()
+    classification = data.draw(st.booleans())
+    values = np.array(data.draw(st.lists(
+        st.integers(-2**63, 2**63 - 1) if classification
+        else st.floats(allow_nan=False, allow_infinity=False),
+        min_size=len(tokens), max_size=len(tokens))), dtype=np.int64 if classification else float)
+    table = LabelTable(tuple(tokens), values, "classification" if classification else "regression")
+    text = _written(write_label_table, [table], tokens, True)
+    if text is not None:
+        back = parse_label_table(text)
+        order = sorted(range(len(tokens)), key=tokens.__getitem__)
+        assert (back.tokens, back.mode) == (tuple(sorted(tokens)), table.mode)
+        assert back.values.tobytes() == values[order].tobytes()
 
 
 def test_resolve_labels():
