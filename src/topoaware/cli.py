@@ -65,23 +65,27 @@ def _load_seeds(path: str, g: Graph) -> list:
     return resolve_tokens(parse_token_list(_read(path)), g)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
+def _emit(outputs) -> None:
+    """Write a run's (text, destination) pairs: the files first, then the
+    streams (a destination of None is stdout)."""
+    for text, out in outputs:
+        if isinstance(out, str):
+            try:
+                Path(out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
+    for text, out in outputs:
+        if not isinstance(out, str):
+            (out or sys.stdout).write(text)
 
 
-def _report(args, kind: str, payload: dict, **resolved) -> None:
-    """Write the report; its parameters are the parsed arguments, overridden
-    by the values the command resolved from them."""
+def _report(args, kind: str, payload: dict, **resolved) -> tuple[str, str | None]:
+    """The report and its destination; its parameters are the parsed
+    arguments, overridden by the values the command resolved from them."""
     params = {k: v for k, v in vars(args).items() if k != "func"} | resolved
     report = Report(parameters=jsonable(params), payload_kind=kind,
                     payload=jsonable(payload))
-    _emit(write_report(report, args.format), args.out)
+    return write_report(report, args.format), args.out
 
 
 def _resolve_k(args, n: int) -> tuple[int, bool]:
@@ -134,10 +138,10 @@ def _prediction_table(truth_table, pred_table, g: Graph):
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the parsed arguments and the --graph graph (None
-# for synth and verify)
+# for synth and verify) and returns its exit code and its outputs for _emit
 
 
-def cmd_partition(args, g) -> int:
+def cmd_partition(args, g) -> tuple[int, list]:
     seeds = _load_seeds(args.seeds, g)
     part = partition_by_distance(g, seeds, args.max_hop)
     if part.max_hop > PARTITION_MAX_HOP:
@@ -149,11 +153,10 @@ def cmd_partition(args, g) -> int:
         "overflow_count": part.overflow_count,
         "unreachable_count": part.unreachable_count,
     }
-    _report(args, "partition", payload)
-    return EXIT_OK
+    return EXIT_OK, [_report(args, "partition", payload)]
 
 
-def cmd_distortion(args, g) -> int:
+def cmd_distortion(args, g) -> tuple[int, list]:
     seeds = _load_seeds(args.seeds, g)
     emb = parse_vector_table(_read(args.embeddings), g)
     part = partition_by_distance(g, seeds, args.max_hop)
@@ -163,11 +166,10 @@ def cmd_distortion(args, g) -> int:
         "unreachable_count": part.unreachable_count,
         "profile": [vars(row) for row in hop_embedding_profile(gd, ed)],
     }
-    _report(args, "distortion", payload)
-    return EXIT_OK
+    return EXIT_OK, [_report(args, "distortion", payload)]
 
 
-def cmd_sample(args, g) -> int:
+def cmd_sample(args, g) -> tuple[int, list]:
     if args.rng_seed is not None:
         seeded_rng(args.rng_seed)  # the same check for every method, drawing or not
     k, from_fraction = _resolve_k(args, g.n)
@@ -186,8 +188,6 @@ def cmd_sample(args, g) -> int:
             sel = coverage_sampling(g, k, rng_seed=args.rng_seed)
         else:
             sel = baseline_select(g, k, method=args.method, rng_seed=args.rng_seed)
-    if from_fraction:
-        sys.stderr.write(f"resolved k = {k} from fraction {args.fraction}\n")
     seed_tokens = [g.tokens[v] for v in sel.seeds]
     payload = vars(sel) | {
         "seeds": seed_tokens, "k": k,
@@ -196,15 +196,15 @@ def cmd_sample(args, g) -> int:
     resolved = {"k": k, "k_resolved_from_fraction": from_fraction, "start": start_policy_str}
     if args.method == "centrality":
         resolved["centrality_variant"] = "closeness"
-    # built first, so that a refused token leaves no report behind
-    seeds_text = None if args.seeds_out is None else write_token_list(seed_tokens)
-    _report(args, "seed_selection", payload, **resolved)
-    if seeds_text is not None:
-        _emit(seeds_text, args.seeds_out)
-    return EXIT_OK
+    outputs = [_report(args, "seed_selection", payload, **resolved)]
+    if from_fraction:
+        outputs.insert(0, (f"resolved k = {k} from fraction {args.fraction}\n", sys.stderr))
+    if args.seeds_out is not None:
+        outputs.append((write_token_list(seed_tokens), args.seeds_out))
+    return EXIT_OK, outputs
 
 
-def cmd_evaluate(args, g) -> int:
+def cmd_evaluate(args, g) -> tuple[int, list]:
     if not math.isfinite(args.bound_constant):
         raise ArgumentError(f"--bound-constant must be finite, got {args.bound_constant}")
     seeds = _load_seeds(args.seeds, g)
@@ -248,31 +248,29 @@ def cmd_evaluate(args, g) -> int:
         "ordering": ordering,
         "bounds": bounds,
     }
-    _report(args, "evaluation", payload)
-    return EXIT_OK
+    return EXIT_OK, [_report(args, "evaluation", payload)]
 
 
-def cmd_embed(args, g) -> int:
+def cmd_embed(args, g) -> tuple[int, list]:
     X = (one_hot_features(g) if args.features == "one_hot"
          else parse_vector_table(_read(args.features), g))
-    _emit(write_vector_table(propagate(g, X, args.layers), g), args.out)
-    return EXIT_OK
+    return EXIT_OK, [(write_vector_table(propagate(g, X, args.layers), g), args.out)]
 
 
-def cmd_synth(args, g) -> int:
+def cmd_synth(args, g) -> tuple[int, list]:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         raise ArgumentError(f"--sizes must be comma-separated ints, got {args.sizes!r}") from None
     ds = synthetic_sbm(sizes, args.p_in, args.p_out, args.seed)
-    _emit(write_edge_list(ds.graph), args.out)
+    outputs = [(write_edge_list(ds.graph), args.out)]
     if args.labels_out is not None:
         table = LabelTable(ds.graph.tokens, ds.labels, "classification")
-        _emit(write_label_table(table), args.labels_out)
-    return EXIT_OK
+        outputs.append((write_label_table(table), args.labels_out))
+    return EXIT_OK, outputs
 
 
-def cmd_verify(args, g) -> int:
+def cmd_verify(args, g) -> tuple[int, list]:
     results = run_verify(args.rng_seed, graphs=args.graphs, n_max=args.n_max,
                          inject_fault=args.inject_fault)
     all_passed = all(r.passed for r in results)
@@ -283,8 +281,7 @@ def cmd_verify(args, g) -> int:
         "checks": [{"name": r.name, "passed": r.passed, "cases": r.cases,
                     "counterexample": r.detail or None} for r in results],
     }
-    _report(args, "verify", payload)
-    return EXIT_OK if all_passed else EXIT_INTERNAL
+    return EXIT_OK if all_passed else EXIT_INTERNAL, [_report(args, "verify", payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +376,9 @@ def main(argv=None) -> int:
     try:
         if "graph" in vars(args):
             g = load_graph(_read(args.graph))
-        return args.func(args, g)
+        code, outputs = args.func(args, g)
+        _emit(outputs)
+        return code
     except TopoawareError as exc:
         if isinstance(exc, CoverageError) and exc.kind == "id":
             # the library names dense ids; the user knows the graph's tokens
