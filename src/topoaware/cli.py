@@ -67,13 +67,16 @@ def _load_seeds(path: str, g: Graph) -> list:
 
 def _emit(outputs) -> None:
     """Write a run's (text, destination) pairs: the files first, then the
-    streams (a destination of None is stdout)."""
-    for text, out in outputs:
-        if isinstance(out, str):
-            try:
-                Path(out).write_text(text, encoding="utf-8")
-            except OSError as exc:
-                raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
+    streams (a destination of None is stdout). A file that cannot be written
+    removes the ones written before it, so a failed run leaves no output."""
+    files = [(text, out) for text, out in outputs if isinstance(out, str)]
+    for i, (text, out) in enumerate(files):
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            for _, written in files[:i]:
+                Path(written).unlink(missing_ok=True)
+            raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
     for text, out in outputs:
         if not isinstance(out, str):
             (out or sys.stdout).write(text)

@@ -582,14 +582,28 @@ def test_negative_seed_is_usage_error(capsys, ws, argv):
      "--seeds-out", "MISSING/seeds.txt"],
     ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "1",
      "--out", "MISSING/graph.txt"],
-], ids=["partition --out", "sample --seeds-out", "synth --out"])
+    # a failed later write removes the earlier files and prints nothing
+    ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "1",
+     "--out", "HERE/g.txt", "--labels-out", "MISSING/l.csv"],
+    ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "1",
+     "--labels-out", "MISSING/l.csv"],
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
+     "--out", "HERE/r.json", "--seeds-out", "MISSING/s.txt"],
+    ["sample", "--graph", "GRAPH", "--method", "kcenter", "--fraction", "0.5",
+     "--seeds-out", "MISSING/s.txt"],
+], ids=["partition --out", "sample --seeds-out", "synth --out",
+        "synth --out --labels-out", "synth stdout --labels-out",
+        "sample --out --seeds-out", "sample --fraction --seeds-out"])
 def test_unwritable_output_is_usage_error(capsys, ws, argv):
     tmp, graph, seeds = ws
     names = {"GRAPH": str(graph), "SEEDS": str(seeds)}
-    argv = [names.get(a, a.replace("MISSING", str(tmp / "missing"))) for a in argv]
-    code, _, err = run(capsys, argv)
+    argv = [names.get(a, a.replace("MISSING", str(tmp / "missing")).replace("HERE", str(tmp)))
+            for a in argv]
+    code, out, err = run(capsys, argv)
     path = argv[-1]
-    assert (code, err) == (2, f"usage error: cannot write {path}: No such file or directory\n")
+    assert (code, out, err) == (2, "", f"usage error: cannot write {path}: "
+                                       "No such file or directory\n")
+    assert sorted(p.name for p in tmp.iterdir()) == ["graph.txt", "seeds.txt"]
 
 
 def test_missing_subcommand_is_usage_error(capsys):
