@@ -56,12 +56,10 @@ def _check_tokens(tokens, noun: str, comma: bool = False) -> None:
     """Raise ArgumentError naming the first token that the reader of a
     `noun` would skip or split: one that is empty, holds whitespace (what
     str.split splits at, which is re's \\s) or starts with '#' or a BOM, and
-    with `comma` one that holds ','. Clean tokens cost three C-level scans
-    of their join; only a refusal looks at each token."""
-    unreadable = r"\n[#\ufeff]|[^\S\n]" + ("|," if comma else "")
-    text = "\n" + "\n".join(tokens)
-    if tokens and ("" in tokens or text.count("\n") > len(tokens) or re.search(unreadable, text)):
-        bad = next(t for t in tokens if not t or "\n" in t or re.search(unreadable, "\n" + t))
+    with `comma` one that holds ','."""
+    unreadable = re.compile(r"\A[#\ufeff]|\s" + ("|," if comma else ""))
+    bad = next((t for t in tokens if not t or unreadable.search(t)), None)
+    if bad is not None:
         raise ArgumentError(f"token {bad!r} cannot be written to a {noun}: "
                             "its reader would skip or split it")
 
