@@ -6,7 +6,7 @@ int, 2**63, a minus sign, a stray comma, a `#` or an invalid UTF-8 byte put
 in) and runs `cli.main` on it three times: twice as is, and once with every
 whole-buffer read (the packed-key graph read and the vector block) turned
 off, so the row loop reads every file. The exit code must be 0, 2, 3, 4 or 5, stderr empty or
-one line, and all three runs byte-identical.
+one line, stdout empty unless the exit code is 0, and all three runs byte-identical.
 The long run is marked `slow` and deselected by default:
 
     python3 -m pytest -m slow tests/test_cli_contract.py
@@ -84,9 +84,10 @@ def _check(workspace, case):
     argv = [str(workspace / ("mutated" if a == target else a)) if a in _INPUTS else a
             for a in argv]
     first = _run(argv)
-    code, _, err = first
+    code, out, err = first
     assert code in EXIT_CODES, err
     assert err == "" or (err.count("\n") == 1 and err.endswith("\n")), err
+    assert code == 0 or out == "", (code, out[:200])  # a failed run prints no report
     assert _run(argv) == first
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_packed_ids", lambda text: None)
