@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -66,16 +67,16 @@ def _load_seeds(path: str, g: Graph) -> list:
 
 
 def _emit(outputs) -> None:
-    """Write a run's (text, destination) pairs: the files first, then the
-    streams (a destination of None is stdout). A file that cannot be written
-    removes the ones written before it, so a failed run leaves no output."""
+    """Write (text, destination) pairs, files first, then streams (None is stdout);
+    if a file fails, remove the files this run created and raise a usage error."""
     files = [(text, out) for text, out in outputs if isinstance(out, str)]
-    for i, (text, out) in enumerate(files):
+    new = [out for _, out in files if not os.path.lexists(out)]
+    for text, out in files:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            for _, written in files[:i]:
-                Path(written).unlink(missing_ok=True)
+            for path in filter(os.path.lexists, new):  # never a device or an older file
+                os.unlink(path)
             raise ArgumentError(f"cannot write {out}: {exc.strerror}") from None
     for text, out in outputs:
         if not isinstance(out, str):
@@ -140,8 +141,7 @@ def _prediction_table(truth_table, pred_table, g: Graph):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the parsed arguments and the --graph graph (None
-# for synth and verify) and returns its exit code and its outputs for _emit
+# subcommands: (parsed arguments, --graph graph or None) -> (exit code, outputs for _emit)
 
 
 def cmd_partition(args, g) -> tuple[int, list]:

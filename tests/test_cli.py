@@ -591,11 +591,19 @@ def test_negative_seed_is_usage_error(capsys, ws, argv):
      "--out", "HERE/r.json", "--seeds-out", "MISSING/s.txt"],
     ["sample", "--graph", "GRAPH", "--method", "kcenter", "--fraction", "0.5",
      "--seeds-out", "MISSING/s.txt"],
+    # ...but only the files this run created: not an older file, not a symlink
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
+     "--out", "HERE/old.json", "--seeds-out", "MISSING/s.txt"],
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
+     "--out", "HERE/link", "--seeds-out", "MISSING/s.txt"],
 ], ids=["partition --out", "sample --seeds-out", "synth --out",
         "synth --out --labels-out", "synth stdout --labels-out",
-        "sample --out --seeds-out", "sample --fraction --seeds-out"])
+        "sample --out --seeds-out", "sample --fraction --seeds-out",
+        "sample --out existing --seeds-out", "sample --out symlink --seeds-out"])
 def test_unwritable_output_is_usage_error(capsys, ws, argv):
     tmp, graph, seeds = ws
+    (tmp / "old.json").write_text("{}\n")
+    (tmp / "link").symlink_to(tmp / "old.json")
     names = {"GRAPH": str(graph), "SEEDS": str(seeds)}
     argv = [names.get(a, a.replace("MISSING", str(tmp / "missing")).replace("HERE", str(tmp)))
             for a in argv]
@@ -603,6 +611,26 @@ def test_unwritable_output_is_usage_error(capsys, ws, argv):
     path = argv[-1]
     assert (code, out, err) == (2, "", f"usage error: cannot write {path}: "
                                        "No such file or directory\n")
+    assert sorted(p.name for p in tmp.iterdir()) == ["graph.txt", "link", "old.json",
+                                                     "seeds.txt"]
+    assert (tmp / "link").is_symlink()
+
+
+def test_partly_written_output_is_removed(capsys, ws, monkeypatch):
+    """A write that fails after it created its file (a full disk, say) leaves no part of it."""
+    tmp, graph, _ = ws
+
+    def full_disk(path, text, encoding=None):
+        with path.open("w", encoding=encoding) as f:
+            f.write(text[:1])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp / "r.json"
+    code, stdout, err = run(capsys, ["sample", "--graph", str(graph), "--method", "degree",
+                                     "--k", "2", "--out", str(out)])
+    assert (code, stdout, err) == (2, "", f"usage error: cannot write {out}: "
+                                          "No space left on device\n")
     assert sorted(p.name for p in tmp.iterdir()) == ["graph.txt", "seeds.txt"]
 
 
