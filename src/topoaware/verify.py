@@ -1,5 +1,6 @@
 """Built-in self-checks: each check runs the library against an independent
-in-module reference route and reports pass/fail with a counterexample dump.
+in-module reference route, case by case, and `run_verify` reports pass/fail
+with the first counterexample.
 
 A fault can be injected to corrupt the candidate side of one check, proving
 the comparison actually bites.
@@ -16,7 +17,6 @@ from .graph import Graph, _id_graph, degrees, multi_source_bfs, seeded_rng
 from .metrics import estimate_distortion
 from .sampling import BRUTE_FORCE_MAX_N, brute_force_kcenter, kcenter_greedy
 
-CHECK_NAMES = ("distance", "greedy", "distortion")
 MAX_GRAPHS = 500
 MAX_N = 60
 # the greedy check's sparse graph: at 20k vertices and about 60k edges every
@@ -81,9 +81,9 @@ def _reference_farthest_first(g: Graph, k: int, sweep) -> list[int]:
     return seeds
 
 
-def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckResult:
+def check_distance(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
     """One-source multi_source_bfs against the in-module deque BFS."""
-    for case in range(graphs):
+    for _ in range(graphs):
         n = int(rng.integers(2, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
         adj = _adjacency_lists(g)
@@ -92,12 +92,9 @@ def check_distance(rng, graphs: int, n_max: int, inject: bool = False) -> CheckR
         if inject:
             got[source] += 1.0
         want = _reference_bfs(adj, source)
-        if not np.array_equal(got, want):
-            bad = int(np.flatnonzero(got != want)[0])
-            return CheckResult("distance", False, case + 1, {
-                "case": case, "n": n, "source": source, "vertex": bad,
-                "got": float(got[bad]), "want": float(want[bad])})
-    return CheckResult("distance", True, graphs)
+        bad = np.flatnonzero(got != want)
+        yield {"n": n, "source": source, "vertex": int(bad[0]), "got": float(got[bad[0]]),
+               "want": float(want[bad[0]])} if len(bad) else None
 
 
 def _greedy_cases(rng, sparse_rng, graphs: int, n_max: int):
@@ -117,8 +114,7 @@ def _greedy_cases(rng, sparse_rng, graphs: int, n_max: int):
     yield path, 4, lambda s: _reference_bfs(adj, s)
 
 
-def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
-                 inject: bool = False) -> CheckResult:
+def check_greedy(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
     """Farthest-first seeds equal to a reference traversal, and their
     objective within 2x the exhaustive optimum where brute force is allowed.
 
@@ -127,29 +123,24 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int,
     its first sweep; on the sparse graph every `relax` stays on its pruned
     branch. The last graph, a path, is deeper than that budget, so its first
     BFS falls back to a csgraph sweep, and every later `relax` then does."""
-    cases = _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12))
-    for case, (g, k, sweep) in enumerate(cases):
+    for g, k, sweep in _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12)):
         sel = kcenter_greedy(g, k)
         want = _reference_farthest_first(g, k, sweep)
         if list(sel.seeds) != want:
-            return CheckResult("greedy", False, case + 1, {
-                "case": case, "n": g.n, "k": k,
-                "seeds": list(sel.seeds), "reference_seeds": want})
-        if g.n > BRUTE_FORCE_MAX_N:
-            continue
-        greedy = sel.objective * 3 if inject else sel.objective
-        best = brute_force_kcenter(g, k).objective
-        if greedy > 2 * best:
-            return CheckResult("greedy", False, case + 1, {
-                "case": case, "n": g.n, "k": k,
-                "greedy_objective": float(greedy), "optimal_objective": float(best)})
-    return CheckResult("greedy", True, graphs + 2)
+            yield {"n": g.n, "k": k, "seeds": list(sel.seeds), "reference_seeds": want}
+        elif g.n > BRUTE_FORCE_MAX_N:
+            yield None
+        else:
+            greedy = sel.objective * 3 if inject else sel.objective
+            best = brute_force_kcenter(g, k).objective
+            yield {"n": g.n, "k": k, "greedy_objective": float(greedy),
+                   "optimal_objective": float(best)} if greedy > 2 * best else None
 
 
-def check_distortion(rng, samples: int, inject: bool = False) -> CheckResult:
+def check_distortion(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
     """(r, alpha) certify the sandwich r*d <= d' <= alpha*r*d on every pair,
     and alpha is invariant under scaling of the embedding side."""
-    for case in range(samples):
+    for _ in range(graphs):
         count = int(rng.integers(1, 40))
         gd = rng.integers(1, 8, size=count).astype(float)
         ed = rng.uniform(0.05, 5.0, size=count) * gd
@@ -159,10 +150,13 @@ def check_distortion(rng, samples: int, inject: bool = False) -> CheckResult:
         ok = np.all(lo <= ed * (1 + 1e-12)) and np.all(ed <= hi * (1 + 1e-12))
         scaled = estimate_distortion(gd, ed * 3.0)
         ok = ok and abs(scaled.alpha - est.alpha) <= 1e-12 * max(1.0, est.alpha)
-        if not ok:
-            return CheckResult("distortion", False, case + 1, {
-                "case": case, "pairs": count, "r": est.r, "alpha": est.alpha})
-    return CheckResult("distortion", True, samples)
+        yield None if ok else {"pairs": count, "r": est.r, "alpha": est.alpha}
+
+
+# name -> check(rng, sparse_rng, graphs, n_max, inject): a generator of None
+# or a counterexample dict per case
+CHECKS = {"distance": check_distance, "greedy": check_greedy, "distortion": check_distortion}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_verify(rng_seed: int, graphs: int = 50, n_max: int = 30,
@@ -176,8 +170,13 @@ def run_verify(rng_seed: int, graphs: int = 50, n_max: int = 30,
             f"inject-fault must be one of {CHECK_NAMES}, got {inject_fault!r}")
     rng = seeded_rng(rng_seed)
     sparse_rng = seeded_rng([rng_seed, 1])
-    return [
-        check_distance(rng, graphs, n_max, inject=inject_fault == "distance"),
-        check_greedy(rng, sparse_rng, graphs, n_max, inject=inject_fault == "greedy"),
-        check_distortion(rng, graphs, inject=inject_fault == "distortion"),
-    ]
+    results = []
+    for name, check in CHECKS.items():  # a check stops at its first counterexample
+        cases, detail = 0, {}
+        for bad in check(rng, sparse_rng, graphs, n_max, name == inject_fault):
+            cases += 1
+            if bad is not None:
+                detail = {"case": cases - 1} | bad
+                break
+        results.append(CheckResult(name, not detail, cases, detail))
+    return results
