@@ -68,8 +68,12 @@ def _load_seeds(path: str, g: Graph) -> list:
 
 def _emit(outputs) -> None:
     """Write (text, destination) pairs, files first, then streams (None is stdout);
-    if a file fails, remove the files this run created and raise a usage error."""
+    if two name one file or a file fails, write or leave nothing: a usage error."""
     files = [(text, out) for text, out in outputs if isinstance(out, str)]
+    real = [os.path.realpath(out) for _, out in files]
+    for i, (_, out) in enumerate(files):
+        if real[i] in real[:i]:
+            raise ArgumentError(f"cannot write {out}: another output names the same file")
     new = [out for _, out in files if not os.path.lexists(out)]
     for text, out in files:
         try:

@@ -596,21 +596,31 @@ def test_negative_seed_is_usage_error(capsys, ws, argv):
      "--out", "HERE/old.json", "--seeds-out", "MISSING/s.txt"],
     ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
      "--out", "HERE/link", "--seeds-out", "MISSING/s.txt"],
+    # two outputs that name one file write nothing
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
+     "--out", "HERE/x.json", "--seeds-out", "HERE/x.json"],
+    ["sample", "--graph", "GRAPH", "--method", "degree", "--k", "2",
+     "--out", "HERE/y.json", "--seeds-out", "HERE/./y.json"],
+    ["synth", "--sizes", "4,4", "--p-in", "0.5", "--p-out", "0.1", "--seed", "1",
+     "--out", "HERE/g.txt", "--labels-out", "HERE/g.txt"],
 ], ids=["partition --out", "sample --seeds-out", "synth --out",
         "synth --out --labels-out", "synth stdout --labels-out",
         "sample --out --seeds-out", "sample --fraction --seeds-out",
-        "sample --out existing --seeds-out", "sample --out symlink --seeds-out"])
+        "sample --out existing --seeds-out", "sample --out symlink --seeds-out",
+        "sample --out --seeds-out same path", "sample --out --seeds-out ./ same path",
+        "synth --out --labels-out same path"])
 def test_unwritable_output_is_usage_error(capsys, ws, argv):
     tmp, graph, seeds = ws
     (tmp / "old.json").write_text("{}\n")
     (tmp / "link").symlink_to(tmp / "old.json")
+    reason = ("No such file or directory" if "MISSING" in argv[-1]
+              else "another output names the same file")
     names = {"GRAPH": str(graph), "SEEDS": str(seeds)}
     argv = [names.get(a, a.replace("MISSING", str(tmp / "missing")).replace("HERE", str(tmp)))
             for a in argv]
     code, out, err = run(capsys, argv)
     path = argv[-1]
-    assert (code, out, err) == (2, "", f"usage error: cannot write {path}: "
-                                       "No such file or directory\n")
+    assert (code, out, err) == (2, "", f"usage error: cannot write {path}: {reason}\n")
     assert sorted(p.name for p in tmp.iterdir()) == ["graph.txt", "link", "old.json",
                                                      "seeds.txt"]
     assert (tmp / "link").is_symlink()
