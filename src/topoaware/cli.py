@@ -47,6 +47,8 @@ _ERRORS = ((ParseError, "parse error", EXIT_PARSE),
 
 METHOD_CHOICES = ("kcenter", "coverage", "random", "degree", "centrality", "pagerank")
 PARTITION_MAX_HOP = 100_000  # one report row per hop: 1.1 s and 202 MB at this size
+# the ordering check lists every inverted pair of groups: 53 MiB traced at this size
+EVALUATE_MAX_GROUPS = 500
 RANDOMIZED_METHODS = ("coverage", "random")
 
 
@@ -219,6 +221,9 @@ def cmd_evaluate(args, g) -> tuple[int, list]:
     preds = _prediction_table(truth_table, parse_label_table(_read(args.predictions)), g)
     part = partition_by_distance(g, seeds, args.max_hop)
     report = subgroup_accuracy(part, preds)
+    if len(report.per_hop) > EVALUATE_MAX_GROUPS:
+        raise SizeGuardError(f"{len(report.per_hop)} hop groups exceed the "
+                             f"{EVALUATE_MAX_GROUPS}-group limit of the ordering check")
     evaluated = part.grouped
     if len(evaluated) == 0:
         raise ArgumentError("no test vertices within max_hop of the seed set")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import id_graph, label_table
+from conftest import id_graph, label_table, path_graph
 from topoaware import (build_graph, cli, errors, one_hot_features, parse_edge_list,
                        parse_label_table, parse_report, parse_token_list,
                        parse_vector_table, propagate, synthetic_sbm,
@@ -435,6 +435,29 @@ def test_evaluate_mode_mismatch(capsys, tmp_path):
                                 "--seeds", str(seeds), "--labels", str(truth),
                                 "--predictions", str(reg)])
     assert code == 2 and "classification" in err
+
+
+def test_evaluate_hop_group_limit_fires_before_the_ordering_check(capsys, tmp_path):
+    # the ordering check lists every inverted pair of hop groups; a 2000-vertex
+    # path from v0 has 1999 groups of one vertex each
+    n = 2000
+    graph, seeds = tmp_path / "graph.txt", tmp_path / "seeds.txt"
+    graph.write_text(write_edge_list(path_graph(n)))
+    seeds.write_text(write_token_list(["v0"]))
+    truth, preds = tmp_path / "truth.csv", tmp_path / "preds.csv"
+    truth.write_text(write_label_table(label_table({f"v{i}": 0 for i in range(n)})))
+    preds.write_text(write_label_table(label_table({f"v{i}": int(i == 1) for i in range(n)})))
+    tracemalloc.start()
+    try:
+        got = run(capsys, ["evaluate", "--graph", str(graph), "--seeds", str(seeds),
+                           "--labels", str(truth), "--predictions", str(preds),
+                           "--max-hop", str(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:2] == (2, "") and peak < 64 * 10**6
+    assert got[2] == (f"usage error: {n - 1} hop groups exceed the "
+                      f"{cli.EVALUATE_MAX_GROUPS}-group limit of the ordering check\n")
 
 
 # ---------------------------------------------------------------------------
