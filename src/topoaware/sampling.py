@@ -106,7 +106,10 @@ def coverage_sampling(g: Graph, k: int, rng_seed: int) -> SeedSelection:
         total = float(weights.sum())
         if total <= 0.0:
             raise InternalInvariantError("all candidate weights are zero")
-        nxt = int(rng.choice(g.n, p=weights / total))
+        # rng.choice(g.n, p=weights / total)'s own draw, without its O(n) checks of p
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        nxt = int(cdf.searchsorted(rng.random(), side="right"))
         seeds.append(nxt)
         relax(g, dist, [nxt])
     return _finish(g, seeds, dist, "coverage_sampling", rng_seed)
