@@ -599,6 +599,35 @@ def test_negative_seed_is_usage_error(capsys, ws, argv):
                                         "integer, got -1\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["partition", "--graph", "MISSING", "--seeds", "SEEDS"],
+     "cannot read MISSING: No such file or directory"),
+    (["sample", "--graph", "GRAPH", "--method", "degree", "--fraction", "1.5"],
+     "--fraction must be in (0,1), got 1.5"),
+    (["sample", "--graph", "GRAPH", "--method", "degree"],
+     "one of --k or --fraction is required"),
+    (["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "2",
+      "--start", "highest-degree", "v1"], "--start highest-degree takes no extra value"),
+    (["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "2", "--start", "vertex"],
+     "--start vertex requires a token"),
+    (["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "2", "--start", "middle"],
+     "unknown start policy 'middle'"),
+    (["evaluate", "--graph", "GRAPH", "--seeds", "ALL", "--labels", "TRUTH",
+      "--predictions", "PREDS"], "no test vertices within max_hop of the seed set"),
+], ids=["unreadable input", "fraction out of range", "no k or fraction",
+        "start policy with a value", "start vertex without a token", "unknown start policy",
+        "evaluate every vertex seeded"])
+def test_usage_error_names_its_cause(capsys, tmp_path, argv, message):
+    graph, seeds, truth, preds = evaluate_workspace(tmp_path)
+    every = tmp_path / "all.txt"
+    every.write_text(write_token_list([f"v{i}" for i in range(5)]))
+    names = {"GRAPH": graph, "SEEDS": seeds, "ALL": every, "TRUTH": truth, "PREDS": preds,
+             "MISSING": tmp_path / "missing.txt"}
+    argv = [str(names.get(a, a)) for a in argv]
+    message = message.replace("MISSING", str(names["MISSING"]))
+    assert run(capsys, argv) == (2, "", f"usage error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["partition", "--graph", "GRAPH", "--seeds", "SEEDS", "--out", "MISSING/report.json"],
     ["sample", "--graph", "GRAPH", "--method", "kcenter", "--k", "2",

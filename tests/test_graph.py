@@ -67,6 +67,10 @@ def test_build_rejects_bad_tokens():
         build_graph([("a", "")])
     with pytest.raises(ArgumentError):
         build_graph([("a", 3)])
+    with pytest.raises(ArgumentError, match=r"^edge 2 is not a token pair: \('a', 'b', 'c'\)$"):
+        build_graph([("a", "b"), ("a", "b", "c")])
+    with pytest.raises(ArgumentError, match="^edge 1 is not a token pair: 3$"):
+        build_graph([3])
 
 
 @given(token_pairs)
@@ -109,6 +113,7 @@ def test_graph_eq_matches_set_oracle(case):
     g1, g2 = build_graph(pairs), build_graph(other)
     want = oracles.graphs_equal(g1, g2)
     assert (g1 == g2) is want and (g2 == g1) is want
+    assert g1.__eq__(pairs) is NotImplemented and g1 != pairs
     if change == "none":
         assert want
     if change == "add_token":

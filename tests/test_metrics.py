@@ -322,6 +322,8 @@ def test_profile_rows_equal_the_per_hop_masks(seed):
     rows = hop_embedding_profile(gd, ed)
     assert [(r.hop, r.mean_distance, r.std, r.count) for r in rows] == \
         oracles.hop_rows_by_mask(gd, ed)
+    with pytest.raises(ArgumentError, match="must have the same shape"):
+        hop_embedding_profile(gd, np.append(ed, 1.0))
 
 
 def test_profile_requires_coverage():

@@ -103,6 +103,9 @@ def test_greedy_explicit_start_vertex():
 def test_greedy_random_start_needs_seed():
     with pytest.raises(ArgumentError):
         kcenter_greedy(path_graph(5), 2, start="random")
+    for start in ("middle", True, 1.0):
+        with pytest.raises(ArgumentError, match=f"^unsupported start policy {start!r}$"):
+            kcenter_greedy(path_graph(5), 2, start=start)
 
 
 def test_greedy_random_start_reproducible():
