@@ -69,8 +69,8 @@ def _load_seeds(path: str, g: Graph) -> list:
 
 
 def _emit(outputs) -> None:
-    """Write (text, destination) pairs, files first, then streams (None is stdout);
-    if two name one file or a file fails, write or leave nothing: a usage error."""
+    """Write (text, destination) pairs, files first, then streams (None is stdout); refuse
+    two that name one file, and after a failed write remove the files this run created."""
     files = [(text, out) for text, out in outputs if isinstance(out, str)]
     real = [os.path.realpath(out) for _, out in files]
     for i, (_, out) in enumerate(files):
