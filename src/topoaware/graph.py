@@ -151,18 +151,10 @@ def _check_sources(n: int, sources) -> np.ndarray:
     return np.asarray(src, dtype=np.int64)
 
 
-# Work charged to each frontier level on top of the neighbours it gathers, in
-# the units of a full sweep's n + nnz. On a 100k-vertex path one numpy
-# frontier step cost as much as 3200-4000 units of sweep (2-vCPU x86
-# machine); charging about twice that holds a call that falls back on a long
-# path to about 1.5 sweeps.
-RELAX_LEVEL_CHARGE = 8192
-# A graph's first sweep may also import scipy.sparse and its csgraph
-# (0.27-0.31 s on the same machine, about 3 * 10**7 units). Until then a loop
-# on that graph may do this much more work, 512 levels: a graph of up to about
-# 500 levels (the golden and benchmark graphs among them) never loads scipy,
-# while a deeper one loses about 11 ms of path levels before it pays the import.
-SCIPY_IMPORT_CHARGE = 2**22
+# A frontier of at most this many vertices is expanded by a scalar loop: a
+# numpy level has a fixed cost of about 15-26 us however small its frontier,
+# so each numpy level pays it with more than this many vertices.
+SCALAR_FRONTIER_MAX = 32
 
 
 def multi_source_bfs(g: Graph, sources) -> np.ndarray:
@@ -177,42 +169,43 @@ def relax(g: Graph, dist: np.ndarray, sources) -> None:
     """Lower `dist` in place to min(dist, hops from `sources`), skipping
     sources already at 0. `dist` must be all UNREACHABLE or a relaxed array,
     so only vertices whose distance improves need expanding (pruned BFS,
-    Akiba, Iwata and Yoshida 2013). Past the budget of `_lower`, the rest is
-    one sweep and a minimum (the same bits: every lowered value is a path
-    length), so once the graph has swept a call costs at most about two sweeps.
+    Akiba, Iwata and Yoshida 2013).
     """
     src = _check_sources(g.n, sources)
     src = src[dist[src] != 0]
     if not src.size:
         return
     dist[src] = 0.0
-    if not _lower(g, dist, src):
-        np.minimum(dist, _sweep(g, src), out=dist)
+    _lower(g, dist, src)
 
 
-def _lower(g: Graph, dist: np.ndarray, frontier: np.ndarray) -> bool:
+def _lower(g: Graph, dist: np.ndarray, frontier: np.ndarray) -> None:
     """Breadth-first levels from `frontier` (the vertices at distance 0),
-    setting dist[v] = level for each gathered neighbour with dist[v] > level:
-    every BFS in the library is this loop. Each level is charged its
-    gathered neighbours plus RELAX_LEVEL_CHARGE; once the charge passes one
-    sweep's n + nnz (plus SCIPY_IMPORT_CHARGE until the graph's first
-    `_sweep`) it returns False, and every distance it lowered is still the
-    length of a path."""
-    budget = g.n + g.indices.size + (0 if "swept" in vars(g) else SCIPY_IMPORT_CHARGE)
+    setting dist[v] = level for each neighbour with dist[v] > level: every
+    BFS in the library is this loop. A frontier of at most
+    SCALAR_FRONTIER_MAX vertices is expanded vertex by vertex, a larger one
+    by one numpy gather (the frontier-size switch of Beamer, Asanovic and
+    Patterson, SC 2012), so each numpy level has more than that many
+    vertices to pay for and a call is O(n + nnz)."""
     indptr, indices = g.indptr, g.indices
-    work, level = 0, 0
-    while frontier.size:
-        starts, ends = indptr[frontier], indptr[frontier + 1]
-        counts = ends - starts
-        total = int(counts.sum())
-        work += total + RELAX_LEVEL_CHARGE
-        if work > budget:
-            return False
+    ptr, nbrs, d = memoryview(indptr), memoryview(indices), memoryview(dist)
+    level = 0
+    while len(frontier):
         level += 1
-        nb = indices[np.arange(total) + (ends - counts.cumsum()).repeat(counts)]
-        frontier = _distinct(nb[dist[nb] > level])
-        dist[frontier] = level
-    return True
+        if len(frontier) <= SCALAR_FRONTIER_MAX:
+            nxt = []
+            for u in frontier:
+                for v in nbrs[ptr[u]:ptr[u + 1]]:
+                    if d[v] > level:
+                        d[v] = level
+                        nxt.append(v)
+            frontier = nxt
+        else:
+            starts, ends = indptr[frontier], indptr[1:][frontier]
+            counts = ends - starts
+            nb = indices[np.arange(int(counts.sum())) + (ends - counts.cumsum()).repeat(counts)]
+            frontier = _distinct(nb[dist[nb] > level])
+            dist[frontier] = level
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -222,16 +215,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     first = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=first[1:])
     return a[first]
-
-
-def _sweep(g: Graph, sources) -> np.ndarray:
-    """Hop distances to the nearest source by one csgraph C sweep, recorded
-    on the graph (as a cached property is) so that its loops stop paying the import."""
-    from scipy.sparse import csgraph
-
-    g.__dict__["swept"] = True
-    return csgraph.dijkstra(g.csr, directed=True, unweighted=True,
-                            indices=sources, min_only=True)
 
 
 def _hops(x) -> float:

@@ -87,18 +87,18 @@ def tied_graph(rng):
     return id_graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
 
 
-# values of RELAX_LEVEL_CHARGE that force each branch of `relax`: at 0 a
-# level costs only its gathered neighbours, which never exceed one sweep;
-# the huge charge sends every call to the full-sweep fallback
-LEVEL_CHARGES = {"pruned": 0, "fallback": 10**12}
+# values of SCALAR_FRONTIER_MAX that force each branch of `graph._lower`: at 0
+# every nonempty frontier takes the numpy gather, and at the huge value every
+# frontier takes the scalar loop
+FRONTIER_BRANCHES = {"numpy": 0, "scalar": 10**12}
 
 
 @contextlib.contextmanager
-def level_charge(name):
+def frontier_branch(name):
     import topoaware.graph
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(topoaware.graph, "RELAX_LEVEL_CHARGE", LEVEL_CHARGES[name])
+        mp.setattr(topoaware.graph, "SCALAR_FRONTIER_MAX", FRONTIER_BRANCHES[name])
         yield
 
 

@@ -153,9 +153,7 @@ def test_connected_graph_has_one_component():
 # run -> (frontier loops, relax calls): one seed-distance array per run, one
 # objective array for a score baseline, and for a greedy run one array for
 # the first seed and one relax per later seed. Each array and each relax is
-# one frontier loop, and none passes its budget of n + nnz +
-# SCIPY_IMPORT_CHARGE, so no run sweeps: a graph's loops are charged the
-# import until its first sweep, and each run loads its graph afresh.
+# one frontier loop, and no run sweeps: every BFS is that loop.
 BFS_COUNTS = {
     "partition": (CASES["partition"][0], 1, 0),
     "distortion": (CASES["distortion_min"][0], 1, 0),
@@ -205,9 +203,12 @@ def test_scipy_loads_only_where_a_c_kernel_pays(tmp_path):
     assert _loads_scipy(shallow, GOLDEN) == [False] * 6
     (tmp_path / "path.txt").write_text("".join(f"v{i} v{i + 1}\n" for i in range(2000)))
     (tmp_path / "seed.txt").write_text("v0\n")
+    # a path's levels run in the scalar loop, however deep the path
     deep = ["partition", "--graph", str(tmp_path / "path.txt"),
             "--seeds", str(tmp_path / "seed.txt")]
-    for argv in (BFS_COUNTS["sample_pagerank"][0], CASES["embed_features"][0], deep):
+    for argv in (deep, ["verify", "--seed", "0"]):
+        assert _loads_scipy([argv], GOLDEN) == [False, False], argv
+    for argv in (BFS_COUNTS["sample_pagerank"][0], CASES["embed_features"][0]):
         assert _loads_scipy([argv], GOLDEN) == [False, True], argv
 
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from conftest import (LEVEL_CHARGES, count_calls, er_graph, id_graph, level_charge, path_graph,
-                      tied_graph)
+from conftest import (FRONTIER_BRANCHES, count_calls, er_graph, frontier_branch, id_graph,
+                      path_graph, tied_graph)
 from topoaware import (ArgumentError, BoundsError, EmbeddingTable, EmptyGraphError,
                        SizeGuardError, UNREACHABLE, build_graph, closeness_centrality, degrees,
                        graph, group_distance, kcenter_greedy, lipschitz_labels,
@@ -236,52 +236,36 @@ def _counting_bfs(monkeypatch):
     return count_calls(monkeypatch, graph, "_lower"), count_calls(monkeypatch, csgraph, "dijkstra")
 
 
-@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@pytest.mark.parametrize("branch", FRONTIER_BRANCHES)
 @given(st.integers(0, 2**32 - 1))
-def test_msbfs_matches_csgraph_sweep(charge, seed):
+def test_msbfs_matches_csgraph_sweep(branch, seed):
     # components of tied distances, isolated vertices, repeated sources
     rng = np.random.default_rng(seed)
     g = tied_graph(rng)
     sources = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
-    with pytest.MonkeyPatch.context() as mp, level_charge(charge):
+    with pytest.MonkeyPatch.context() as mp, frontier_branch(branch):
         loops, sweeps = _counting_bfs(mp)
         got = multi_source_bfs(g, sources)
     want = oracles.sweep_hops(g, sources)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert (len(loops), len(sweeps)) == (1, 0 if charge == "pruned" else 1)
+    assert (len(loops), len(sweeps)) == (1, 0)
 
 
-@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@pytest.mark.parametrize("branch", FRONTIER_BRANCHES)
 @given(st.integers(0, 2**32 - 1))
-def test_relax_chain_matches_multi_source_bfs(charge, seed):
+def test_relax_chain_matches_multi_source_bfs(branch, seed):
     rng = np.random.default_rng(seed)
     g = tied_graph(rng)
     seeds = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
     dist = multi_source_bfs(g, seeds[:1])
-    with pytest.MonkeyPatch.context() as mp, level_charge(charge):
+    with pytest.MonkeyPatch.context() as mp, frontier_branch(branch):
         loops, sweeps = _counting_bfs(mp)
         for s in seeds[1:]:
             relax(g, dist, [s])
     assert np.array_equal(dist, multi_source_bfs(g, seeds))
-    # one frontier loop per source not already in the set, each falling
-    # back to one sweep or none of them
+    # one frontier loop per source not already in the set, and no sweep
     fresh = sum(s not in seeds[:i] for i, s in enumerate(seeds) if i)
-    assert (len(loops), len(sweeps)) == (fresh, 0 if charge == "pruned" else fresh)
-
-
-def test_import_charge_lasts_until_the_graphs_first_sweep():
-    # csgraph is imported in this process, yet a fresh graph's loop keeps the
-    # import charge, as in a fresh CLI process, until that graph sweeps once
-    g = load_graph((GOLDEN / "graph.txt").read_text(encoding="utf-8"))
-    with pytest.MonkeyPatch.context() as mp:
-        loops, sweeps = _counting_bfs(mp)
-        want = multi_source_bfs(g, [0])
-        assert (len(loops), len(sweeps)) == (1, 0)
-        graph._sweep(g, [1])
-        loops.clear()
-        sweeps.clear()
-        assert np.array_equal(multi_source_bfs(g, [0]), want)
-        assert (len(loops), len(sweeps)) == (1, 1)
+    assert (len(loops), len(sweeps)) == (fresh, 0)
 
 
 def test_relax_path_from_the_middle():

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from conftest import (LEVEL_CHARGES, er_graph, grid_graph, id_graph, level_charge, path_graph,
-                      tied_graph)
+from conftest import (FRONTIER_BRANCHES, count_calls, er_graph, frontier_branch, grid_graph,
+                      id_graph, path_graph, tied_graph)
 from topoaware import (UNREACHABLE, ArgumentError, SizeGuardError, baseline_select,
                        brute_force_kcenter, coverage_sampling, kcenter_greedy,
                        kcenter_objective, multi_source_bfs)
@@ -156,17 +156,18 @@ def test_greedy_tie_breaks_to_lowest_id():
     assert sel.seeds == (0,)
 
 
-@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@pytest.mark.parametrize("branch", FRONTIER_BRANCHES)
 @given(st.integers(0, 2**32 - 1))
-def test_greedy_matches_full_sweep_oracle(charge, seed):
+def test_greedy_matches_full_sweep_oracle(branch, seed):
     rng = np.random.default_rng(seed)
     g = tied_graph(rng)
     k = int(rng.integers(1, g.n + 1))
-    with level_charge(charge):
-        for start in ("highest_degree", "random", int(rng.integers(g.n))):
+    for start in ("highest_degree", "random", int(rng.integers(g.n))):
+        with pytest.MonkeyPatch.context() as mp, frontier_branch(branch):
+            sweeps = count_calls(mp, csgraph, "dijkstra")
             sel = kcenter_greedy(g, k, start=start, rng_seed=seed)
-            want = oracles.kcenter_greedy_sweeps(g, k, start, seed)
-            assert (list(sel.seeds), sel.objective) == want
+        want = oracles.kcenter_greedy_sweeps(g, k, start, seed)
+        assert (list(sel.seeds), sel.objective, len(sweeps)) == (*want, 0)
 
 
 def _best_of_three(fn):
@@ -180,8 +181,9 @@ def _best_of_three(fn):
 
 @pytest.mark.parametrize("shape", ["path", "grid"])
 def test_greedy_high_diameter_within_three_full_sweep_loops(shape):
-    # a pruned frontier runs one numpy step per BFS level, so without the
-    # full-sweep fallback a 20k-vertex path costs about 10x the sweep loop
+    # a path's frontiers stay within SCALAR_FRONTIER_MAX, so its levels run in
+    # the scalar loop (about 0.6x the csgraph sweeps on two vCPUs), and the
+    # grid's wide fronts take the numpy gather (about 0.15x)
     g = path_graph(20_000) if shape == "path" else grid_graph(100, 100)
     t_sweeps, want = _best_of_three(lambda: oracles.kcenter_greedy_sweeps(g, 200))
     t_relax, sel = _best_of_three(lambda: kcenter_greedy(g, 200))
@@ -297,15 +299,17 @@ def test_coverage_seeds_distinct_and_objective_consistent(seed):
     assert sel.objective == kcenter_objective(multi_source_bfs(g, sel.seeds))
 
 
-@pytest.mark.parametrize("charge", LEVEL_CHARGES)
+@pytest.mark.parametrize("branch", FRONTIER_BRANCHES)
 @given(st.integers(0, 2**32 - 1))
-def test_coverage_matches_full_sweep_oracle(charge, seed):
+def test_coverage_matches_full_sweep_oracle(branch, seed):
     rng = np.random.default_rng(seed)
     g = tied_graph(rng)
     k = int(rng.integers(1, g.n + 1))
-    with level_charge(charge):
+    with pytest.MonkeyPatch.context() as mp, frontier_branch(branch):
+        sweeps = count_calls(mp, csgraph, "dijkstra")
         sel = coverage_sampling(g, k, rng_seed=seed)
-    assert (list(sel.seeds), sel.objective) == oracles.coverage_sampling_sweeps(g, k, seed)
+    want = oracles.coverage_sampling_sweeps(g, k, seed)
+    assert (list(sel.seeds), sel.objective, len(sweeps)) == (*want, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-import topoaware.graph
-from conftest import count_calls
-from topoaware import (ArgumentError, SizeGuardError, kcenter_greedy, run_verify, sampling,
-                       verify)
+from topoaware import ArgumentError, SizeGuardError, kcenter_greedy, run_verify, verify
 from topoaware.verify import CHECK_NAMES
 
 
@@ -60,27 +56,6 @@ def test_greedy_check_compares_seeds_with_the_deque_reference(monkeypatch):
     assert greedy.detail["seeds"] == greedy.detail["reference_seeds"][::-1]
 
 
-@pytest.mark.parametrize("rng_seed", [0, 1])
-def test_greedy_check_large_case_keeps_relax_pruned(rng_seed, monkeypatch):
-    # a fallback is a csgraph sweep inside `relax`; one sweep first drops the
-    # import charge from the graph's budget, so the pruned branch must keep
-    # each relax under one sweep's n + nnz alone
-    rng = np.random.Generator(np.random.PCG64([rng_seed, 1]))
-    g = verify._sparse_connected_graph(rng, verify.SPARSE_N)
-    topoaware.graph._sweep(g, [0])
-    sweeps = count_calls(monkeypatch, topoaware.graph, "_sweep")
-    fallbacks, relax = [], sampling.relax
-
-    def counted(g, dist, sources):
-        before = len(sweeps)
-        relax(g, dist, sources)
-        fallbacks.append(len(sweeps) - before)
-
-    monkeypatch.setattr(sampling, "relax", counted)
-    sel = kcenter_greedy(g, verify.SPARSE_K)
-    assert len(sel.seeds) == verify.SPARSE_K and fallbacks == [0] * (verify.SPARSE_K - 1)
-
-
 def test_greedy_check_compares_the_large_case(monkeypatch):
     def shifted_on_large_graphs(g, k):
         sel = kcenter_greedy(g, k)
@@ -92,12 +67,3 @@ def test_greedy_check_compares_the_large_case(monkeypatch):
     greedy = run_verify(rng_seed=0, graphs=3, n_max=12)[1]
     assert not greedy.passed and greedy.cases == 4
     assert greedy.detail["n"] == verify.SPARSE_N
-
-
-def test_verify_takes_the_sweep_fallback_in_a_fresh_process(monkeypatch):
-    # each graph's loops are charged the scipy import until its first sweep,
-    # so only the greedy check's path is deep enough to fall back to one; in
-    # process as in a fresh `topoaware verify --seed 0` process: 4 `_sweep` calls
-    sweeps = count_calls(monkeypatch, topoaware.graph, "_sweep")
-    results = run_verify(0)
-    assert all(r.passed for r in results) and len(sweeps) == 4
