@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 from scipy.sparse import csgraph
 
 import oracles
-from conftest import (FRONTIER_BRANCHES, count_calls, er_graph, frontier_branch, id_graph,
-                      path_graph, tied_graph)
+from conftest import (FRONTIER_BRANCHES, count_calls, er_graph, frontier_branch, grid_graph,
+                      id_graph, path_graph, tied_graph)
 from topoaware import (ArgumentError, BoundsError, EmbeddingTable, EmptyGraphError,
                        SizeGuardError, UNREACHABLE, build_graph, closeness_centrality, degrees,
                        graph, group_distance, kcenter_greedy, lipschitz_labels,
@@ -266,6 +266,61 @@ def test_relax_chain_matches_multi_source_bfs(branch, seed):
     # one frontier loop per source not already in the set, and no sweep
     fresh = sum(s not in seeds[:i] for i, s in enumerate(seeds) if i)
     assert (len(loops), len(sweeps)) == (fresh, 0)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 4]))
+def test_frontier_switches_branch_within_one_bfs(seed, scalar_max):
+    # a threshold this small sends a tied graph's levels back and forth
+    # between the scalar loop and the numpy gather inside one call
+    rng = np.random.default_rng(seed)
+    g = tied_graph(rng)
+    sources = [int(v) for v in rng.integers(g.n, size=int(rng.integers(1, 9)))]
+    want = oracles.sweep_hops(g, sources)
+    dist = np.full(g.n, UNREACHABLE)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "SCALAR_FRONTIER_MAX", scalar_max)
+        got = multi_source_bfs(g, sources)
+        for s in sources:
+            _numpy_levels(g, dist, s)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(dist, want)
+
+
+def _numpy_levels(g, dist, source) -> int:
+    """The numpy levels of `relax(g, dist, [source])`, checked against the
+    vertices it lowered: each numpy level expands a frontier of more than
+    SCALAR_FRONTIER_MAX vertices, each lowered by this call, and a vertex
+    joins at most one frontier of a call, so the call is O(n + nnz)."""
+    before = dist.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        levels = count_calls(mp, graph, "_distinct")
+        relax(g, dist, [source])
+    lowered = int(np.count_nonzero(dist != before))
+    assert len(levels) * (graph.SCALAR_FRONTIER_MAX + 1) <= lowered
+    return len(levels)
+
+
+@pytest.mark.parametrize("width", [31, 32, 33, 34])
+def test_numpy_levels_only_past_the_scalar_frontier_max(width):
+    # from a corner a strip's frontier grows to its width and stays there;
+    # a chain of sources along the middle row then meets fronts from both sides
+    g = grid_graph(200, width)
+    dist = np.full(g.n, UNREACHABLE)
+    assert (_numpy_levels(g, dist, 0) > 0) == (width > graph.SCALAR_FRONTIER_MAX)
+    middles = [row * width + width // 2 for row in (100, 50, 150, 25, 175)]
+    for s in middles:
+        _numpy_levels(g, dist, s)
+    assert np.array_equal(dist, oracles.sweep_hops(g, [0, *middles]))
+
+
+@pytest.mark.parametrize("shape", ["path", "grid"])
+def test_numpy_levels_within_lowered_vertices(shape):
+    g = path_graph(2000) if shape == "path" else grid_graph(100, 100)
+    dist = np.full(g.n, UNREACHABLE)
+    sources = np.random.default_rng(7).integers(g.n, size=20).tolist()
+    levels = [_numpy_levels(g, dist, int(s)) for s in sources]
+    assert np.array_equal(dist, oracles.sweep_hops(g, sources))
+    assert sum(levels) == 0 if shape == "path" else sum(levels) > 0
 
 
 def test_relax_path_from_the_middle():
