@@ -68,9 +68,9 @@ def kcenter_greedy(g: Graph, k: int, start="highest_degree",
 
     The first seed costs one BFS; each later seed lowers the distance
     array in place with `relax`, a pruned frontier expansion that visits
-    only the vertices it brings closer. On a high-diameter graph `relax`
-    falls back to a full sweep, so k sweeps (O(k·m)) is the worst case, and
-    the final array always equals `multi_source_bfs(g, seeds)`. `start` is
+    only the vertices it brings closer, in time linear in those vertices and
+    their arcs. So O(k·m) is the worst case, and the final array always
+    equals `multi_source_bfs(g, seeds)`. `start` is
     "highest_degree", "random" (needs rng_seed), or an explicit vertex id.
     """
     k = _check_k(g, k)

@@ -19,8 +19,8 @@ from .sampling import BRUTE_FORCE_MAX_N, brute_force_kcenter, kcenter_greedy
 
 MAX_GRAPHS = 500
 MAX_N = 60
-# the greedy check's sparse graph: at 20k vertices and about 60k edges every
-# `relax` of a 30-seed traversal stays on its pruned branch
+# the greedy check's sparse graph: 20k vertices and about 60k edges, shallow
+# enough that its wide frontiers take the numpy gather of `graph._lower`
 SPARSE_N = 20_000
 SPARSE_K = 30
 
@@ -118,11 +118,10 @@ def check_greedy(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
     """Farthest-first seeds equal to a reference traversal, and their
     objective within 2x the exhaustive optimum where brute force is allowed.
 
-    On the small graphs n + nnz is below one level's charge, so each stays
-    in numpy only because a graph's loops are charged the scipy import until
-    its first sweep; on the sparse graph every `relax` stays on its pruned
-    branch. The last graph, a path, is deeper than that budget, so its first
-    BFS falls back to a csgraph sweep, and every later `relax` then does."""
+    The small graphs and the last one, a 2000-vertex path, have frontiers
+    of at most `SCALAR_FRONTIER_MAX` vertices, so each of their levels runs
+    in the scalar loop, the path's nearly 2000 among them; the sparse
+    graph's wide frontiers take the numpy gather."""
     for g, k, sweep in _greedy_cases(rng, sparse_rng, graphs, min(n_max, 12)):
         sel = kcenter_greedy(g, k)
         want = _reference_farthest_first(g, k, sweep)
