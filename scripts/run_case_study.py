@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     if len(report.per_hop) >= 2:
         oc = ordering_check([(k, 1.0 - acc) for k, acc, _ in report.per_hop])
         print(f"risk/hop ordering: spearman={oc.spearman:.3f} "
-              f"violations={len(oc.violations)}")
+              f"violations={oc.violation_count}")
 
     print("\nseed-method comparison (lower is better)")
     print(f"{'method':<20} {'max dist':>9} {'mean dist':>10}")

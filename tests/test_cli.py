@@ -437,9 +437,9 @@ def test_evaluate_mode_mismatch(capsys, tmp_path):
     assert code == 2 and "classification" in err
 
 
-def test_evaluate_hop_group_limit_fires_before_the_ordering_check(capsys, tmp_path):
-    # the ordering check lists every inverted pair of hop groups; a 2000-vertex
-    # path from v0 has 1999 groups of one vertex each
+def test_evaluate_ordering_report_stays_bounded_on_a_deep_path(capsys, tmp_path):
+    # a 2000-vertex path from v0 has 1999 groups of one vertex each; only hop 1
+    # is wrong, so every later group is inverted against it
     n = 2000
     graph, seeds = tmp_path / "graph.txt", tmp_path / "seeds.txt"
     graph.write_text(write_edge_list(path_graph(n)))
@@ -449,15 +449,16 @@ def test_evaluate_hop_group_limit_fires_before_the_ordering_check(capsys, tmp_pa
     preds.write_text(write_label_table(label_table({f"v{i}": int(i == 1) for i in range(n)})))
     tracemalloc.start()
     try:
-        got = run(capsys, ["evaluate", "--graph", str(graph), "--seeds", str(seeds),
-                           "--labels", str(truth), "--predictions", str(preds),
-                           "--max-hop", str(n)])
+        doc, _ = run_json(capsys, ["evaluate", "--graph", str(graph), "--seeds", str(seeds),
+                                   "--labels", str(truth), "--predictions", str(preds),
+                                   "--max-hop", str(n)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got[:2] == (2, "") and peak < 64 * 10**6
-    assert got[2] == (f"usage error: {n - 1} hop groups exceed the "
-                      f"{cli.EVALUATE_MAX_GROUPS}-group limit of the ordering check\n")
+    ordering = doc["payload"]["ordering"]
+    assert peak < 64 * 10**6
+    assert ordering["violation_count"] == n - 2 and ordering["violations_truncated"]
+    assert ordering["violations"] == [[hi, 1] for hi in range(2, 102)]
 
 
 # ---------------------------------------------------------------------------

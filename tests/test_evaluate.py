@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from topoaware import (ArgumentError, CoverageError, EmbeddingTable, TopoawareEr
                        make_prediction_table, multi_source_bfs, ordering_check,
                        paired_distances_for_distortion, parse_label_table,
                        partition_by_distance, subgroup_accuracy, trial_grouping)
-from topoaware.evaluate import LOSSES
+from topoaware.evaluate import LOSSES, ORDERING_LIST_MAX
 
 
 def table(predicted, truth, mode="classification"):
@@ -451,6 +452,32 @@ def test_ordering_spearman_equals_scipy_bits(rows):
     assert res.all_ties == (not np.isfinite(rho))
     want = 0.0 if res.all_ties else rho
     assert np.float64(res.spearman).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@given(st.lists(st.tuples(st.integers(-50, 50),
+                          st.sampled_from([0.0, 0.25, 1.0, np.inf, -np.inf, np.nan])),
+                min_size=2, max_size=40, unique_by=lambda row: row[0]))
+def test_ordering_count_and_list_match_enumeration_oracle(rows):
+    # few distinct risks: ties are common, and so are lists cut at ORDERING_LIST_MAX
+    res = ordering_check(rows)
+    want = oracles.ordering_violations(rows)
+    assert res.violation_count == len(want)
+    assert list(res.violations) == want[:ORDERING_LIST_MAX]
+    assert res.violations_truncated == (len(want) > ORDERING_LIST_MAX)
+
+
+def test_ordering_counts_every_inverted_pair_in_linear_memory():
+    g = 10**5
+    rows = [(k, -float(k)) for k in range(1, g + 1)]
+    tracemalloc.start()
+    try:
+        res = ordering_check(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.violation_count == g * (g - 1) // 2 == 4_999_950_000
+    assert res.violations == tuple((hi, hj) for hi in range(2, 16) for hj in range(1, hi))[:100]
+    assert res.violations_truncated and peak < 64 * 10**6
 
 
 # ---------------------------------------------------------------------------
