@@ -23,6 +23,7 @@ MAX_N = 60
 # enough that its wide frontiers take the numpy gather of `graph._lower`
 SPARSE_N = 20_000
 SPARSE_K = 30
+BROOM_SPOKES = 40  # above graph.SCALAR_FRONTIER_MAX
 
 
 @dataclass(frozen=True)
@@ -81,19 +82,31 @@ def _reference_farthest_first(g: Graph, k: int, sweep) -> list[int]:
     return seeds
 
 
-def check_distance(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
-    """One-source multi_source_bfs against the in-module deque BFS."""
+def _distance_cases(rng, graphs: int, n_max: int):
+    """(graph, source) per distance case: `graphs` random graphs, then a
+    broom whose hub is joined to BROOM_SPOKES vertices, each with a tail."""
     for _ in range(graphs):
         n = int(rng.integers(2, n_max + 1))
         g = _random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
-        adj = _adjacency_lists(g)
-        source = int(rng.integers(n))
+        yield g, int(rng.integers(n))
+    spokes = np.arange(1, BROOM_SPOKES + 1)
+    yield _id_graph(2 * BROOM_SPOKES + 1, np.concatenate([0 * spokes, spokes]),
+                    np.concatenate([spokes, spokes + BROOM_SPOKES])), 0
+
+
+def check_distance(rng, sparse_rng, graphs: int, n_max: int, inject: bool):
+    """One-source multi_source_bfs against the in-module deque BFS. The
+    random graphs' frontiers are mostly within `SCALAR_FRONTIER_MAX`, so
+    their levels run in the scalar loop of `graph._lower`; the broom's
+    second level, a frontier of its BROOM_SPOKES spokes, takes the numpy
+    gather and lowers their tails."""
+    for g, source in _distance_cases(rng, graphs, n_max):
         got = multi_source_bfs(g, [source])
         if inject:
             got[source] += 1.0
-        want = _reference_bfs(adj, source)
+        want = _reference_bfs(_adjacency_lists(g), source)
         bad = np.flatnonzero(got != want)
-        yield {"n": n, "source": source, "vertex": int(bad[0]), "got": float(got[bad[0]]),
+        yield {"n": g.n, "source": source, "vertex": int(bad[0]), "got": float(got[bad[0]]),
                "want": float(want[bad[0]])} if len(bad) else None
 
 

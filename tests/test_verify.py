@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
-from topoaware import ArgumentError, SizeGuardError, kcenter_greedy, run_verify, verify
+from conftest import count_calls
+from topoaware import ArgumentError, SizeGuardError, graph, kcenter_greedy, run_verify, verify
+from topoaware.graph import seeded_rng
 from topoaware.verify import CHECK_NAMES
 
 
@@ -43,6 +45,13 @@ def test_size_guards():
         run_verify(rng_seed=0, n_max=61)
     with pytest.raises(ArgumentError):
         run_verify(rng_seed=0, inject_fault="everything")
+
+
+def test_distance_check_reaches_the_numpy_levels(monkeypatch):
+    # the broom's 40 spokes make a frontier wider than SCALAR_FRONTIER_MAX
+    levels = count_calls(monkeypatch, graph, "_distinct")
+    cases = list(verify.check_distance(seeded_rng(0), seeded_rng([0, 1]), 10, 30, False))
+    assert cases == [None] * 11 and len(levels) >= 1
 
 
 def test_greedy_check_compares_seeds_with_the_deque_reference(monkeypatch):
