@@ -12,6 +12,7 @@ from .graph import _distinct
 from .metrics import DistortionEstimate, SubgroupPartition, _read_only, _require_coverage
 
 LOSSES = ("zero_one", "absolute", "squared")
+ORDERING_LIST_MAX = 100  # inverted pairs an ordering check lists; its count covers all
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +119,10 @@ def bound_report(train_risk: float, distortion: DistortionEstimate,
                        group_distance=d, bound_driver=float(distortion.alpha) * d)
 
 
-ORDERING_LIST_MAX = 100  # inverted pairs listed; the count covers them all
-
-
 @dataclass(frozen=True)
 class OrderingResult:
-    """Risk-ordering check across hops: the number of strict inversions, the
-    first ORDERING_LIST_MAX of them, whether that list is short of the count,
+    """Risk-ordering check across hops: the count of strict inversions, the
+    first ORDERING_LIST_MAX of them (truncated when the count is larger),
     and the Spearman rank correlation between hop index and risk."""
 
     violations: tuple
@@ -145,18 +143,17 @@ def _average_ranks(values) -> np.ndarray:
 
 def _inversions(r: np.ndarray) -> int:
     """Pairs i < j with r[i] > r[j] in O(G log G), as Knight (JASA 1966)
-    counts Kendall's discordant pairs: a bottom-up merge of dense ranks,
-    where at width w each block of 2w holds two sorted halves."""
+    counts Kendall's discordant pairs: a bottom-up merge of dense ranks. At
+    width w each block of 2w holds two sorted halves, so the first halves'
+    (block, rank) keys are sorted and block b's first half ends at (b + 1)w."""
+    pos, count, w = np.arange(len(r), dtype=np.int64), 0, 1
     ranks = np.unique(r, return_inverse=True)[1]
-    m, pos, count, w = len(r), np.arange(len(r), dtype=np.int64), 0, 1
     while w < len(r):
-        block = pos // (2 * w)
-        keys = block * m + ranks
-        first = pos % (2 * w) < w
-        lo = keys[first]  # sorted: one searchsorted counts the greater ones before each element
-        count += int((np.searchsorted(lo, (block[~first] + 1) * m)
-                      - np.searchsorted(lo, keys[~first], side="right")).sum())
-        ranks = np.sort(keys) - block * m  # each block keeps its positions
+        block, first = pos // (2 * w), pos % (2 * w) < w
+        keys = block * len(r) + ranks
+        not_above = np.searchsorted(keys[first], keys[~first], side="right")
+        count += int(((block[~first] + 1) * w - not_above).sum())
+        ranks = np.sort(keys) - block * len(r)  # each block keeps its positions
         w *= 2
     return count
 
@@ -173,12 +170,10 @@ def ordering_check(subgroup_risks) -> OrderingResult:
     order = np.argsort(hops)
     r = np.asarray(risks)[order]
     h, r = np.asarray(hops)[order][~np.isnan(r)], r[~np.isnan(r)]
-    violations = []  # group b has some when a risk before it in hop order is above its own
-    for b in np.flatnonzero(r[1:] < np.maximum.accumulate(r)[:-1]) + 1:
-        if len(violations) == ORDERING_LIST_MAX:
-            break
-        before = np.flatnonzero(r[:b] > r[b])[:ORDERING_LIST_MAX - len(violations)]
-        violations += [(int(h[b]), int(h[a])) for a in before]
+    # group b has a violation when a risk before it in hop order is above its own
+    groups = np.flatnonzero(r[1:] < np.maximum.accumulate(r)[:-1]) + 1
+    pairs = [(int(h[b]), int(h[a])) for b in groups[:ORDERING_LIST_MAX]
+             for a in np.flatnonzero(r[:b] > r[b])[:ORDERING_LIST_MAX]][:ORDERING_LIST_MAX]
     count = _inversions(r)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # equal risks give nan: all ties
@@ -186,8 +181,8 @@ def ordering_check(subgroup_risks) -> OrderingResult:
         ranks = np.column_stack([_average_ranks(hops), _average_ranks(risks)])
         rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
     all_ties = not np.isfinite(rho)
-    return OrderingResult(violations=tuple(violations), violation_count=count,
-                          violations_truncated=count > len(violations),
+    return OrderingResult(violations=tuple(pairs), violation_count=count,
+                          violations_truncated=count > len(pairs),
                           spearman=0.0 if all_ties else rho, all_ties=all_ties)
 
 
