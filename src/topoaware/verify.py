@@ -90,7 +90,7 @@ def _distance_cases(rng, graphs: int, n_max: int):
         g = _random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
         yield g, int(rng.integers(n))
     spokes = np.arange(1, BROOM_SPOKES + 1)
-    yield _id_graph(2 * BROOM_SPOKES + 1, np.concatenate([0 * spokes, spokes]),
+    yield _id_graph(2 * BROOM_SPOKES + 1, np.concatenate([np.zeros_like(spokes), spokes]),
                     np.concatenate([spokes, spokes + BROOM_SPOKES])), 0
 
 
